@@ -64,8 +64,10 @@ def input_amplitudes(m: int, alpha: complex) -> tuple[complex, ...]:
 
 def norm_constant(m: int, alpha: complex, sign: str) -> float:
     """1 / sqrt(2 (1 +- exp(-2^{m+1} |alpha|^2))), the channel normalization."""
-    s = 1.0 if sign == "plus" else -1.0
-    return 1.0 / math.sqrt(2.0 * (1.0 + s * math.exp(-(2.0 ** (m + 1)) * abs(alpha) ** 2)))
+    z = (2.0 ** (m + 1)) * abs(alpha) ** 2
+    if sign == "plus":
+        return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-z)))
+    return 1.0 / math.sqrt(-2.0 * math.expm1(-z))  # 1 - exp(-z) without cancellation
 
 
 def build_channel(spec: ChannelSpec) -> CoherentSuperposition:

@@ -35,6 +35,10 @@ from .teleport import (
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
+# outcome mass the teleport table may miss before it warns on stderr
+MISSING_MASS_TOL = 1e-9
+# largest photon count the teleport table enumerates; its arrays grow with it
+MAX_N_MAX = 200_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +137,11 @@ def cmd_channel_info(args) -> int:
 def _teleport_rows(args, m: int):
     k1 = complex(args.kappa1_re, args.kappa1_im)
     k2 = complex(args.kappa2_re, args.kappa2_im)
-    n_max = min(default_n_max(m, args.alpha), 60)
+    n_max = default_n_max(m, args.alpha)
+    if n_max > MAX_N_MAX:
+        raise ValueError(
+            f"outcome table needs photon counts up to {n_max} (limit {MAX_N_MAX}); lower m or alpha"
+        )
     if args.eta >= 1.0:
         report = run_protocol(m, args.alpha, k1, k2, args.sign, n_max=n_max)
     else:
@@ -204,7 +212,12 @@ def cmd_teleport(args) -> int:
                 dev = _fmt(abs(o.probability - oracle_table[(o.l, o.n)]))
             row.append(dev)
         rows.append(",".join(row))
+    total = report.total_probability
+    if 1.0 - total > MISSING_MASS_TOL:
+        print(f"warning: outcome probabilities sum to {total!r}; "
+              f"{1.0 - total:.3g} of the mass is missing", file=sys.stderr)
     footer = [
+        ("total_probability", total),
         ("success_probability", report.success_probability),
         ("mean_fidelity", report.mean_fidelity),
         ("closed_form_odd_aggregate", success_probability_closed_form(m, args.alpha, "odd")),

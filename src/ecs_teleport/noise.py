@@ -90,11 +90,8 @@ def channel_fidelity(alpha: complex, eta: float, m: int = 3) -> float:
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     z = (2.0 ** (m + 1)) * abs(alpha) ** 2
-    return (
-        (1.0 - math.exp(-z * eta))
-        * (1.0 + math.exp(-z * (1.0 - eta)))
-        / (2.0 * (1.0 - math.exp(-z)))
-    )
+    # expm1 keeps both 1 - exp(.) factors exact at small z
+    return math.expm1(-z * eta) * (1.0 + math.exp(-z * (1.0 - eta))) / (2.0 * math.expm1(-z))
 
 
 def lossy_channel_operator(m: int, alpha: complex, eta: float, sign: str = "minus") -> CoherentOperator:
@@ -151,13 +148,17 @@ def teleported_fidelity_exact(m: int, alpha: complex, eta: float) -> float:
         F = (1 - e)(1 + d) / (2 (1 - d e)).
 
     The same value holds for every success outcome, both parities, once the
-    corrections are applied; it is 1 exactly at eta = 1.
+    corrections are applied; it is 1 exactly at eta = 1 and tends to
+    eta / (2 - eta) as alpha -> 0, the value returned at alpha = 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    e = math.exp(-(2.0**m) * eta * abs(alpha) ** 2)
-    d = math.exp(-(2.0 ** (m + 1)) * (1.0 - eta) * abs(alpha) ** 2)
-    return (1.0 - e) * (1.0 + d) / (2.0 * (1.0 - d * e))
+    u = (2.0**m) * eta * abs(alpha) ** 2  # e = exp(-u)
+    v = (2.0 ** (m + 1)) * (1.0 - eta) * abs(alpha) ** 2  # d = exp(-v)
+    if u + v == 0.0:
+        return eta / (2.0 - eta)
+    # 1 - e and 1 - d e through expm1, exact at small alpha
+    return math.expm1(-u) * (1.0 + math.exp(-v)) / (2.0 * math.expm1(-(u + v)))
 
 
 @dataclass(frozen=True)

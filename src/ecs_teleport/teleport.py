@@ -6,30 +6,33 @@ Global mode convention: the joint system carries the m input modes first
 50/50 beam splitters R_{m-1,m-2}, ..., R_{m-1,0}, then R_{m-1,m}; it empties
 input modes 0..m-2 exactly and concentrates the interference on the measured
 pair (mode m-1, mode m).  Bob holds modes m+1..2m.
+
+`enumerate_outcomes` computes the whole outcome table in one vectorized pass
+over the folded label array: Bob's Gram matrix and the reference overlaps do
+not depend on the record, so every (l, n) probability, corrected state and
+fidelity follows from one matrix of measured-mode number amplitudes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .algebra import (
+    LABEL_TOL,
     CoherentLabel,
     CoherentOperator,
     CoherentSuperposition,
+    DimensionMismatchError,
     UnsupportedStructureError,
     beam_splitter,
-    dedupe,
     normalized,
     phase_shift_pi,
-    project_photon_number,
-    project_photon_number_op,
-    pure_fidelity,
 )
-from .channels import ChannelSpec, build_channel, build_input, input_amplitudes
+from .channels import ChannelSpec, build_channel, build_input
 from .fock import default_cutoff
 
 BobState = Union[CoherentSuperposition, CoherentOperator]
@@ -126,32 +129,88 @@ def correction_for(l: int, n: int, channel_sign: str) -> str:
     raise ValueError("outcomes with both counts nonzero never occur")
 
 
-def _branch_signs(labels, plus_amps: tuple[complex, ...]) -> np.ndarray:
-    """Classify each Bob label as the +branch (+1) or the -branch (-1)."""
-    plus = CoherentLabel(plus_amps)
-    minus = plus.negated()
-    signs = np.empty(len(labels))
-    for k, lab in enumerate(labels):
-        if lab.close_to(plus, 1e-9):
-            signs[k] = 1.0
-        elif lab.close_to(minus, 1e-9):
-            signs[k] = -1.0
+def _label_array(labels) -> np.ndarray:
+    """(K, modes) array of the labels' amplitudes."""
+    return np.array([lab.amps for lab in labels], dtype=complex)
+
+
+def _gram(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """G[j, k] = <bra_j|ket_k> for label arrays of shape (J, M) and (K, M)."""
+    return np.exp(
+        -0.5 * (np.abs(bra) ** 2).sum(axis=1)[:, None]
+        - 0.5 * (np.abs(ket) ** 2).sum(axis=1)[None, :]
+        + bra.conj() @ ket.T
+    )
+
+
+def _dedupe_index(amps: np.ndarray, tol: float = LABEL_TOL) -> tuple[np.ndarray, list[int]]:
+    """Greedy merge of labels that agree within `tol` per mode.
+
+    Returns each row's class index and the row of each class's first member.
+    """
+    index = np.empty(len(amps), dtype=int)
+    reps: list[int] = []
+    for t, row in enumerate(amps):
+        same = np.flatnonzero(np.all(np.abs(amps[reps] - row) <= tol, axis=1)) if reps else ()
+        if len(same):
+            index[t] = same[0]
         else:
-            raise UnsupportedStructureError(
-                "Bob state is not supported on the expected +-branch pair"
-            )
-    return signs
+            index[t] = len(reps)
+            reps.append(t)
+    return index, reps
 
 
-def _apply_sign_flip(state: BobState, plus_amps: tuple[complex, ...]) -> BobState:
-    """|+branch> -> |+branch>, |-branch> -> -|-branch>."""
+def _number_amplitudes(beta: np.ndarray, n_max: int) -> np.ndarray:
+    """A[n, t] = <n|beta_t> for n = 0..n_max, in log space so large counts never overflow."""
+    counts = np.arange(n_max + 1)
+    half_log_fact = 0.5 * np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
+    vacuum = beta == 0
+    log_beta = np.log(np.where(vacuum, 1.0, beta))
+    amps = np.exp(
+        -0.5 * np.abs(beta) ** 2 + counts[:, None] * log_beta - half_log_fact[:, None]
+    )
+    amps[:, vacuum] = (counts == 0)[:, None]
+    return amps
+
+
+def _quadratic_forms(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Re sum_st f[r, s] weights[s, t] conj(f[r, t]) for every row r of f."""
+    return np.einsum("rs,st,rt->r", f, weights, f.conj()).real
+
+
+def _default_plus_amps(amps: np.ndarray) -> np.ndarray:
+    """Orientation of a branch pair given as label rows: the branch whose first
+    nonvanishing amplitude has positive real part is "+"; protocols with real
+    alpha > 0 satisfy this."""
+    flat = amps.ravel()
+    nonzero = np.flatnonzero(np.abs(flat) > 1e-12)
+    if not nonzero.size:
+        raise UnsupportedStructureError("cannot orient branches of a vacuum state")
+    first = nonzero[0]
+    row = amps[first // amps.shape[1]]
+    return row if flat[first].real > 0 else -row
+
+
+def _branch_signs(amps: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Classify each label row as the +branch (+1) or the -branch (-1)."""
+    on_plus = np.all(np.abs(amps - plus) <= 1e-9, axis=1)
+    on_minus = np.all(np.abs(amps + plus) <= 1e-9, axis=1)
+    if not np.all(on_plus | on_minus):
+        raise UnsupportedStructureError(
+            "Bob state is not supported on the expected +-branch pair"
+        )
+    return np.where(on_plus, 1.0, -1.0)
+
+
+def _apply_sign_flip(state: BobState, plus_amps: np.ndarray) -> BobState:
+    """|+branch> -> |+branch>, |-branch> -> -|-branch>, renormalized: the flip
+    is not unitary on non-orthogonal branches."""
     if isinstance(state, CoherentOperator):
-        signs = _branch_signs(state.labels, plus_amps)
-        return CoherentOperator(state.labels, state.coeffs * np.outer(signs, signs))
-    labels = [lab for _, lab in state.terms]
-    signs = _branch_signs(labels, plus_amps)
-    return CoherentSuperposition(
-        tuple((c * s, lab) for (c, lab), s in zip(state.terms, signs))
+        signs = _branch_signs(_label_array(state.labels), plus_amps)
+        return CoherentOperator(state.labels, state.coeffs * np.outer(signs, signs)).normalized()
+    signs = _branch_signs(_label_array(lab for _, lab in state.terms), plus_amps)
+    return normalized(
+        CoherentSuperposition(tuple((c * s, lab) for (c, lab), s in zip(state.terms, signs)))
     )
 
 
@@ -168,55 +227,12 @@ def bob_correction(
         state = phase_shift_pi(state, range(m))
     if what in ("sign_only", "phase_plus_sign"):
         if plus_amps is None:
-            plus_amps = _default_plus_amps(state)
-        # the branch-sign flip is not unitary on non-orthogonal branches
-        state = _normalize(_apply_sign_flip(state, plus_amps))
-    return state
-
-
-def _default_plus_amps(state: BobState) -> tuple[complex, ...]:
-    # fall back: the branch whose first nonvanishing amplitude has positive
-    # real part is taken as "+"; protocols with real alpha > 0 satisfy this
-    labels = state.labels if isinstance(state, CoherentOperator) else [lab for _, lab in state.terms]
-    for lab in labels:
-        for a in lab.amps:
-            if abs(a) > 1e-12:
-                return lab.amps if a.real > 0 else lab.negated().amps
-    raise UnsupportedStructureError("cannot orient branches of a vacuum state")
-
-
-def _strip_leading_vacuum(state, count: int):
-    """Remove `count` leading modes that are exactly vacuum in every label."""
-    for _ in range(count):
-        if isinstance(state, CoherentOperator):
-            for lab in state.labels:
-                if abs(lab.amps[0]) > 1e-9:
-                    raise AssertionError("fold network left a non-vacuum input mode")
-            state, p = project_photon_number_op(state, 0, 0)
+            labels = state.labels if isinstance(state, CoherentOperator) else [lab for _, lab in state.terms]
+            plus = _default_plus_amps(_label_array(labels))
         else:
-            for _, lab in state.terms:
-                if abs(lab.amps[0]) > 1e-9:
-                    raise AssertionError("fold network left a non-vacuum input mode")
-            state, p = project_photon_number(state, 0, 0)
+            plus = np.asarray(plus_amps, dtype=complex)
+        state = _apply_sign_flip(state, plus)
     return state
-
-
-def _project(state, mode: int, n: int):
-    if isinstance(state, CoherentOperator):
-        return project_photon_number_op(state, mode, n)
-    return project_photon_number(state, mode, n)
-
-
-def _normalize(state: BobState) -> BobState:
-    if isinstance(state, CoherentOperator):
-        return state.normalized()
-    return normalized(state)
-
-
-def _fidelity(reference: Optional[CoherentSuperposition], state: BobState) -> float:
-    if reference is None:
-        return float("nan")
-    return pure_fidelity(reference, state)
 
 
 def enumerate_outcomes(
@@ -230,31 +246,89 @@ def enumerate_outcomes(
 
     Outcomes with both counts nonzero carry exactly zero probability because
     every branch of the folded state is exactly vacuum on one measured mode.
-    Bob's conditional states are normalized; when `reference` is given each
-    outcome is corrected and scored against it.  `success_probability` sums
-    every outcome except (0, 0), whose conditional state is a branch mixture
-    the protocol cannot repair; `mean_fidelity` is the probability-weighted
-    fidelity over those success outcomes.
+    Records below PROB_FLOOR are dropped.  Bob's conditional states are
+    normalized; when `reference` is given each outcome is corrected and scored
+    against it.  `success_probability` sums every outcome except (0, 0), whose
+    conditional state is a branch mixture the protocol cannot repair;
+    `mean_fidelity` is the probability-weighted fidelity over those success
+    outcomes.
+
+    Pure and operator states share one vectorized pass.  With C the folded
+    coefficient matrix (c c^H for a superposition), f[r, t] = <l_r|a_t,m-1>
+    <n_r|a_t,m> the measured-mode amplitudes of label t for record r, and G
+    the Gram matrix of Bob's labels (which no record changes), every record's
+    probability is tr((C o f f^H) G).  Each correction negates every label or
+    none and flips the sign of the -branch or not, so one overlap vector
+    between the reference and the corrected labels scores all records of
+    that correction at once.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    outcomes = []
-    records = [(0, n) for n in range(n_max + 1)] + [(l, 0) for l in range(1, n_max + 1)]
-    for l, n in sorted(records):
-        cond = _strip_and_condition(folded, m, l, n)
-        if cond is None:
-            continue
-        bob, prob = cond
-        outcome = ProtocolOutcome(l=l, n=n, probability=prob, bob_state=bob)
+    if isinstance(folded, CoherentOperator):
+        labels, coeffs, vector = folded.labels, folded.coeffs, None
+    else:
+        labels = [lab for _, lab in folded.terms]
+        vector = np.array([c for c, _ in folded.terms])
+        coeffs = np.outer(vector, vector.conj())
+    amps = _label_array(labels)
+    if np.any(np.abs(amps[:, : m - 1]) > 1e-9):
+        raise AssertionError("fold network left a non-vacuum input mode")
+    index, reps = _dedupe_index(amps[:, m + 1 :])
+    bob = amps[reps, m + 1 :]
+    gram = _gram(bob, bob)[np.ix_(index, index)]  # over the folded labels
+
+    ls = np.concatenate([np.zeros(n_max + 1, dtype=int), np.arange(1, n_max + 1)])
+    ns = np.concatenate([np.arange(n_max + 1), np.zeros(n_max, dtype=int)])
+    f = _number_amplitudes(amps[:, m - 1], n_max)[ls] * _number_amplitudes(amps[:, m], n_max)[ns]
+    probs = _quadratic_forms(f, coeffs * gram.T)
+    kept = np.flatnonzero(probs >= PROB_FLOOR)
+    f, probs = f[kept], probs[kept]
+    corrections = [
+        correction_for(int(ls[r]), int(ns[r]), sign) if reference is not None else "none"
+        for r in kept
+    ]
+    if reference is not None:
+        if reference.mode_count != bob.shape[1]:
+            raise DimensionMismatchError("states live on different mode counts")
+        ref = _label_array(lab for _, lab in reference.terms)
+        ref_coeffs = np.array([c for c, _ in reference.terms]).conj()
+
+    merge = (index[None, :] == np.arange(len(reps))[:, None]).astype(complex)
+    if vector is None:
+        states = np.einsum("js,rs,st,rt,kt->rjk", merge, f, coeffs, f.conj(), merge)
+    else:
+        states = (f * vector) @ merge.T
+    fidelity = np.full(len(kept), np.nan)
+    class_labels = {}
+    for what in dict.fromkeys(corrections):
+        rows = np.flatnonzero(np.array(corrections) == what)
+        corrected = -bob if what in ("phase_only", "phase_plus_sign") else bob
+        signs = np.ones(len(reps))
+        norms = probs[rows]
+        if what in ("sign_only", "phase_plus_sign"):
+            signs = _branch_signs(corrected, _default_plus_amps(corrected))
+            flip = signs[index]
+            norms = _quadratic_forms(f[rows], coeffs * gram.T * np.outer(flip, flip))
+        if vector is None:
+            states[rows] *= np.outer(signs, signs) / norms[:, None, None]
+        else:
+            states[rows] *= signs / np.sqrt(norms)[:, None]
         if reference is not None:
-            corrected = bob_correction(outcome, sign, m)
-            outcome = replace(
-                outcome,
-                bob_state=corrected,
-                correction=correction_for(l, n, sign),
-                fidelity=_fidelity(reference, corrected),
-            )
-        outcomes.append(outcome)
+            overlaps = (ref_coeffs @ _gram(ref, corrected)) * signs
+            fidelity[rows] = _quadratic_forms(f[rows] * overlaps[index], coeffs) / norms
+        class_labels[what] = tuple(CoherentLabel(tuple(row)) for row in corrected)
+
+    outcomes = []
+    for i, r in enumerate(kept):
+        lab = class_labels[corrections[i]]
+        if vector is None:
+            bob_state = CoherentOperator(lab, states[i])
+        else:
+            bob_state = CoherentSuperposition(tuple(zip(states[i].tolist(), lab)))
+        outcomes.append(ProtocolOutcome(
+            l=int(ls[r]), n=int(ns[r]), probability=float(probs[i]), bob_state=bob_state,
+            correction=corrections[i], fidelity=float(fidelity[i]),
+        ))
     succ = [o for o in outcomes if o.is_success]
     p_succ = sum(o.probability for o in succ)
     if reference is not None and p_succ > 0:
@@ -262,16 +336,6 @@ def enumerate_outcomes(
     else:
         mean_f = float("nan")
     return ProtocolReport(tuple(outcomes), p_succ, mean_f)
-
-
-def _strip_and_condition(folded, m: int, l: int, n: int):
-    """Bob's normalized conditional state and the probability of (l, n)."""
-    state, _ = _project(folded, m, n)  # first channel mode (higher index first)
-    state, prob = _project(state, m - 1, l)  # joint probability P(l, n)
-    if prob < PROB_FLOOR:
-        return None
-    state = _strip_leading_vacuum(state, m - 1)
-    return _normalize(state), prob
 
 
 def run_protocol(
@@ -331,17 +395,18 @@ def success_probability_closed_form(
     if abs(alpha) < 1e-8:
         raise ValueError("|alpha| too small")
     x = (2.0**m) * abs(alpha) ** 2
+    # -expm1(-2x) == 1 - exp(-2x) without cancellation at small x
     if parity == "odd":
         if n is None:
-            # 2 * exp(-x) sinh(x) / (2 (1 - exp(-2x))) == 1/2 identically
-            return 2.0 * math.exp(-x) * math.sinh(x) / (2.0 * (1.0 - math.exp(-2.0 * x)))
+            # 2 exp(-x) sinh(x) / (2 (1 - exp(-2x))) == 1/2 identically
+            return 0.5
         if n % 2 != 1:
             raise ValueError("odd parity needs an odd count")
         log_p = -x + n * math.log(x) - math.lgamma(n + 1)
-        return math.exp(log_p) / (2.0 * (1.0 - math.exp(-2.0 * x)))
+        return math.exp(log_p) / (-2.0 * math.expm1(-2.0 * x))
     if parity == "even":
         if n is None:
-            return (1.0 - math.exp(-x)) ** 2 / (2.0 * (1.0 + math.exp(-2.0 * x)))
+            return math.expm1(-x) ** 2 / (2.0 * (1.0 + math.exp(-2.0 * x)))
         if n % 2 != 0 or n < 2:
             raise ValueError("even parity needs a positive even count")
         log_p = -x + n * math.log(x) - math.lgamma(n + 1)

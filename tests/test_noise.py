@@ -131,6 +131,11 @@ def test_channel_fidelity_against_fock_gram():
     assert abs(trace - channel_fidelity(alpha, eta)) < 1e-6
 
 
+def test_channel_fidelity_small_amplitude_has_no_cancellation():
+    # 1 - exp(-z) at z = 1.6e-13 kept only three significant digits
+    assert abs(channel_fidelity(1e-7, 0.5) - 0.5) < 1e-12
+
+
 def test_channel_fidelity_domain_errors():
     with pytest.raises(ValueError):
         channel_fidelity(0.0, 0.5)
@@ -160,6 +165,14 @@ def test_noisy_outcome_fidelities_match_exact_closed_form():
             if o.is_success:
                 assert abs(o.fidelity - expected) < 1e-9
         assert abs(rep.mean_fidelity - expected) < 1e-9
+
+
+def test_exact_fidelity_small_amplitude_limit():
+    # F -> eta / (2 - eta) as alpha -> 0; alpha = 0 returns the limit
+    for eta in (0.0, 0.3, 0.6, 1.0):
+        limit = eta / (2.0 - eta)
+        assert abs(teleported_fidelity_exact(3, 0.0, eta) - limit) < 1e-15
+        assert abs(teleported_fidelity_exact(3, 1e-7, eta) - limit) < 1e-12
 
 
 def test_noisy_fidelity_depends_on_input_branch_combination():

@@ -5,11 +5,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecs_teleport import fock
-from ecs_teleport.algebra import CoherentLabel, inner_product, tensor
+from ecs_teleport.algebra import (
+    CoherentLabel,
+    CoherentOperator,
+    inner_product,
+    normalized,
+    op_tensor,
+    operator_fidelity,
+    project_photon_number,
+    project_photon_number_op,
+    pure_fidelity,
+    tensor,
+)
 from ecs_teleport.channels import ChannelSpec, build_channel, build_input
+from ecs_teleport.noise import (
+    channel_fidelity,
+    lossy_channel_operator,
+    teleport_through_noise,
+    teleported_fidelity_exact,
+)
 from ecs_teleport.teleport import (
+    PROB_FLOOR,
+    ProtocolOutcome,
+    bob_correction,
     correction_for,
     default_n_max,
     enumerate_outcomes,
@@ -197,6 +219,23 @@ def test_closed_form_argument_validation():
         success_probability_closed_form(0, 1.0, "odd")
 
 
+def test_closed_form_small_amplitude_has_no_cancellation():
+    # 1 - exp(-2x) at x = 8e-16 kept only one significant digit
+    assert abs(success_probability_closed_form(1, 2e-8, "odd") - 0.5) < 1e-12
+    x = 2.0 * 2e-8**2
+    assert abs(success_probability_closed_form(1, 2e-8, "odd", 1) - 0.25) < 1e-12
+    assert abs(success_probability_closed_form(1, 2e-8, "even") / (x * x / 4) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("alpha", (3.0, 30.0))
+def test_closed_form_finite_at_large_folded_amplitude(alpha):
+    # x = 2^8 alpha^2 overflowed sinh in the odd aggregate
+    for parity in ("odd", "even"):
+        value = success_probability_closed_form(8, alpha, parity)
+        assert math.isfinite(value) and abs(value - 0.5) < 1e-12
+    assert math.isfinite(success_probability_closed_form(8, alpha, "odd", 1))
+
+
 def test_success_probability_reported(rng):
     rep = run_protocol(3, 1.0, 1.0, -1.0, "minus", n_max=30)
     # odd-cat input: the (0,0) record vanishes, so every outcome is a success
@@ -265,3 +304,117 @@ def test_outcome_tables_agree_with_fock_engine(m, alpha):
 
 def bob_cuts_plus_one(cuts):
     return [c + 1 for c in cuts]
+
+
+# --- outcome-table kernel against a per-record reference -------------------------
+
+def _folded(m, alpha, eta, k1, k2, sign):
+    """Folded joint state and teleported input, built as the protocol drivers do."""
+    if eta == 1.0:
+        inp = build_input(m, alpha, k1, k2)
+        return fold_network(tensor(inp, build_channel(ChannelSpec(m, alpha, sign))), m), inp
+    inp = build_input(m, math.sqrt(eta) * alpha, k1, k2)
+    joint = op_tensor(CoherentOperator.from_pure(inp), lossy_channel_operator(m, alpha, eta, sign))
+    return fold_network(joint, m), inp
+
+
+def _reference_table(folded, m, n_max, sign, reference):
+    """(l, n) -> (probability, correction, corrected Bob state, fidelity), one
+    projection chain per record through the algebra primitives."""
+    is_op = isinstance(folded, CoherentOperator)
+    project = project_photon_number_op if is_op else project_photon_number
+    records = [(0, n) for n in range(n_max + 1)] + [(l, 0) for l in range(1, n_max + 1)]
+    table = {}
+    for l, n in records:
+        state, _ = project(folded, m, n)
+        state, prob = project(state, m - 1, l)
+        if prob < PROB_FLOOR:
+            continue
+        for _ in range(m - 1):
+            state, _ = project(state, 0, 0)
+        state = state.normalized() if is_op else normalized(state)
+        corrected = bob_correction(ProtocolOutcome(l, n, prob, state), sign, m)
+        table[(l, n)] = (prob, correction_for(l, n, sign), corrected,
+                         pure_fidelity(reference, corrected))
+    return table
+
+
+def _mutual_fidelity(a, b):
+    """tr(a b) / sqrt(tr(a^2) tr(b^2)); 1 exactly when the two states coincide."""
+    a, b = (x if isinstance(x, CoherentOperator) else CoherentOperator.from_pure(x) for x in (a, b))
+    return operator_fidelity(a, b) / math.sqrt(operator_fidelity(a, a) * operator_fidelity(b, b))
+
+
+@pytest.mark.parametrize("eta", (1.0, 0.3, 0.9))
+@pytest.mark.parametrize("sign", ("minus", "plus"))
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_kernel_matches_per_record_reference(m, sign, eta):
+    alpha, n_max = 0.9, 24
+    folded, inp = _folded(m, alpha, eta, 0.8, -0.35 + 0.45j, sign)
+    report = enumerate_outcomes(folded, m, n_max, sign=sign, reference=inp)
+    table = _reference_table(folded, m, n_max, sign, inp)
+    assert [(o.l, o.n) for o in report.outcomes] == sorted(table)
+    for o in report.outcomes:
+        prob, correction, state, fid = table[(o.l, o.n)]
+        assert o.correction == correction
+        assert type(o.bob_state) is type(state)
+        assert abs(o.probability - prob) < 1e-12
+        assert abs(o.fidelity - fid) < 1e-12
+        assert abs(_mutual_fidelity(o.bob_state, state) - 1.0) < 1e-12
+
+
+def test_kernel_without_reference_leaves_states_uncorrected():
+    folded, inp = _folded(2, 0.9, 1.0, 0.6, 0.8j, "minus")
+    report = enumerate_outcomes(folded, 2, 10)
+    table = _reference_table(folded, 2, 10, "minus", inp)
+    for o in report.outcomes:
+        assert o.correction == "none" and math.isnan(o.fidelity)
+        if table[(o.l, o.n)][1] == "none":
+            assert abs(_mutual_fidelity(o.bob_state, table[(o.l, o.n)][2]) - 1.0) < 1e-12
+    assert math.isnan(report.mean_fidelity)
+
+
+def test_kernel_rejects_non_vacuum_input_mode():
+    joint = tensor(build_input(3, 1.0, 1.0, 1.0), build_channel(ChannelSpec(3, 1.0)))
+    with pytest.raises(AssertionError):
+        enumerate_outcomes(joint, 3, 5)
+
+
+kappas = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k1=kappas,
+    k2=kappas,
+    m=st.integers(1, 6),
+    alpha=st.floats(0.3, 2.0),
+    eta=st.floats(0.2, 1.0),
+)
+def test_outcome_mass_is_complete(k1, k2, m, alpha, eta):
+    if eta == 1.0:
+        report = run_protocol(m, alpha, k1, k2, "minus")
+    else:
+        report = teleport_through_noise(m, alpha, eta, k1, k2, "minus")
+    assert abs(report.total_probability - 1.0) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 12), alpha=st.floats(1e-8, 50.0), eta=st.floats(0.0, 1.0))
+@example(m=1, alpha=1e-8, eta=0.0)
+@example(m=1, alpha=1e-8, eta=1.0)
+@example(m=12, alpha=50.0, eta=0.0)
+@example(m=12, alpha=50.0, eta=1.0)
+@example(m=12, alpha=1e-8, eta=0.5)
+@example(m=1, alpha=50.0, eta=0.5)
+def test_closed_forms_finite_and_bounded(m, alpha, eta):
+    values = [
+        success_probability_closed_form(m, alpha, "odd"),
+        success_probability_closed_form(m, alpha, "even"),
+        success_probability_closed_form(m, alpha, "odd", 1),
+        success_probability_closed_form(m, alpha, "even", 2),
+        channel_fidelity(alpha, eta, m),
+        teleported_fidelity_exact(m, alpha, eta),
+    ]
+    for v in values:
+        assert math.isfinite(v) and 0.0 <= v <= 1.0
