@@ -4,21 +4,18 @@ form, and a truncated photon-number-basis engine verifies it numerically.
 """
 
 from .algebra import (
-    CoherentLabel,
-    CoherentOperator,
-    CoherentSuperposition,
+    CoherentState,
     DimensionMismatchError,
     UnsupportedStructureError,
     beam_splitter,
     dedupe,
+    fidelity,
     inner_product,
     norm,
     normalized,
-    operator_fidelity,
     overlap,
     phase_shift_pi,
     project_photon_number,
-    pure_fidelity,
     superposition,
     tensor,
     trace_out,
@@ -44,11 +41,9 @@ from .fock import (
 )
 from .noise import (
     LossModel,
-    adjudicate_teleported_fidelity,
     apply_loss,
     channel_fidelity,
     teleport_through_noise,
-    teleported_fidelity_closed_form,
     teleported_fidelity_exact,
 )
 from .teleport import (

@@ -1,8 +1,9 @@
 """Exact linear algebra over finite superpositions of multimode coherent states.
 
-Every pure state handled here is a finite complex-weighted sum of multimode
-coherent product states |g_1, ..., g_M>, and every mixed state is a complex
-coefficient matrix over a dictionary of such labels.  All inner products,
+Every state handled here is a `CoherentState`: a (K, M) array of coherent
+labels, row t the amplitudes of the product state |g_t1, ..., g_tM>, with a
+coefficient vector c (the pure state sum_t c_t |label_t>) or a coefficient
+matrix C (the operator sum_jk C_jk |label_j><label_k|).  All inner products,
 beam-splitter actions, photon-number projections, partial traces and
 fidelities then have closed forms built from the single-mode overlap
 
@@ -17,15 +18,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
-# Tolerance hierarchy: exact algebra identities hold to 1e-12, quantities that
-# pass through a Gram matrix of non-orthogonal labels to 1e-10.
+# exact algebra identities hold to 1e-12; labels closer than this are merged
 LABEL_TOL = 1e-12
-TRACE_TOL = 1e-10
 MIN_AMPLITUDE = 1e-8
 
 
@@ -44,359 +43,202 @@ def overlap(a: complex, b: complex) -> complex:
     return cmath.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + a.conjugate() * b)
 
 
-def number_amplitude(beta: complex, n: int) -> complex:
-    """Photon-number amplitude <n|beta> = exp(-|beta|^2/2) beta^n / sqrt(n!)."""
-    if n < 0:
-        raise ValueError(f"photon number must be nonnegative, got {n}")
-    beta = complex(beta)
-    if beta == 0:
-        return 1.0 + 0j if n == 0 else 0.0 + 0j
-    # beta**n / sqrt(n!) via logs so large n never overflows
-    return cmath.exp(-0.5 * abs(beta) ** 2 + n * cmath.log(beta) - 0.5 * math.lgamma(n + 1))
-
-
-@dataclass(frozen=True)
-class CoherentLabel:
-    """One multimode coherent product state, identified by its mode amplitudes."""
-
-    amps: tuple[complex, ...]
-
-    def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amps)
-        for a in amps:
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ValueError("coherent amplitudes must be finite")
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.amps)
-
-    def close_to(self, other: "CoherentLabel", tol: float = LABEL_TOL) -> bool:
-        if len(self.amps) != len(other.amps):
-            return False
-        return all(abs(a - b) <= tol for a, b in zip(self.amps, other.amps))
-
-    def negated(self) -> "CoherentLabel":
-        return CoherentLabel(tuple(-a for a in self.amps))
-
-
-def label_overlap(bra: CoherentLabel, ket: CoherentLabel) -> complex:
-    """<bra|ket> as a product of per-mode overlaps."""
-    if bra.mode_count != ket.mode_count:
-        raise DimensionMismatchError("labels have different mode counts")
-    out = 1.0 + 0j
-    for a, b in zip(bra.amps, ket.amps):
-        out *= overlap(a, b)
-    return out
-
-
-@dataclass(frozen=True)
-class CoherentSuperposition:
-    """Finite sum sum_t c_t |label_t> over a common number of modes."""
-
-    terms: tuple[tuple[complex, CoherentLabel], ...]
-
-    def __post_init__(self):
-        terms = tuple((complex(c), lab) for c, lab in self.terms)
-        if not terms:
-            raise ValueError("superposition needs at least one term")
-        n = terms[0][1].mode_count
-        for _, lab in terms:
-            if lab.mode_count != n:
-                raise DimensionMismatchError("all labels must share the mode count")
-        object.__setattr__(self, "terms", terms)
-
-    @property
-    def mode_count(self) -> int:
-        return self.terms[0][1].mode_count
-
-    def scaled(self, factor: complex) -> "CoherentSuperposition":
-        return CoherentSuperposition(tuple((c * factor, lab) for c, lab in self.terms))
-
-
-def superposition(pairs: Iterable[tuple[complex, Sequence[complex]]]) -> CoherentSuperposition:
-    """Convenience constructor from (coefficient, amplitude-sequence) pairs."""
-    return CoherentSuperposition(tuple((c, CoherentLabel(tuple(a))) for c, a in pairs))
-
-
-def dedupe(state: CoherentSuperposition, tol: float = LABEL_TOL) -> CoherentSuperposition:
-    """Merge terms whose labels agree within `tol` per mode; drop exact zeros."""
-    reps: list[CoherentLabel] = []
-    coeffs: list[complex] = []
-    for c, lab in state.terms:
-        for i, rep in enumerate(reps):
-            if lab.close_to(rep, tol):
-                coeffs[i] += c
-                break
-        else:
-            reps.append(lab)
-            coeffs.append(c)
-    kept = tuple((c, lab) for c, lab in zip(coeffs, reps) if c != 0)
-    if not kept:
-        # keep a single zero term so the mode count survives
-        kept = ((0j, reps[0]),)
-    return CoherentSuperposition(kept)
-
-
-def inner_product(x: CoherentSuperposition, y: CoherentSuperposition) -> complex:
-    """<x|y>, the bilinear extension of the per-mode overlap."""
-    if x.mode_count != y.mode_count:
-        raise DimensionMismatchError(
-            f"mode counts differ: {x.mode_count} vs {y.mode_count}"
-        )
-    out = 0j
-    for cx, lx in x.terms:
-        for cy, ly in y.terms:
-            out += cx.conjugate() * cy * label_overlap(lx, ly)
-    return out
-
-
-def norm(x: CoherentSuperposition) -> float:
-    return math.sqrt(max(inner_product(x, x).real, 0.0))
-
-
-def normalized(x: CoherentSuperposition) -> CoherentSuperposition:
-    n = norm(x)
-    if n < 1e-150:
-        raise ValueError("cannot normalize a null superposition")
-    return x.scaled(1.0 / n)
-
-
-def tensor(x: CoherentSuperposition, y: CoherentSuperposition) -> CoherentSuperposition:
-    terms = tuple(
-        (cx * cy, CoherentLabel(lx.amps + ly.amps))
-        for cx, lx in x.terms
-        for cy, ly in y.terms
+def gram(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """G[j, k] = <bra_j|ket_k> for label arrays of shape (J, M) and (K, M)."""
+    if bra.shape[1] != ket.shape[1]:
+        raise DimensionMismatchError(f"mode counts differ: {bra.shape[1]} vs {ket.shape[1]}")
+    return np.exp(
+        -0.5 * (np.abs(bra) ** 2).sum(axis=1)[:, None]
+        - 0.5 * (np.abs(ket) ** 2).sum(axis=1)[None, :]
+        + bra.conj() @ ket.T
     )
-    return CoherentSuperposition(terms)
 
 
-def _check_mode(state_modes: int, mode: int) -> None:
-    if not 0 <= mode < state_modes:
-        raise IndexError(f"mode {mode} out of range for {state_modes} modes")
+def dedupe_index(labels: np.ndarray, tol: float = LABEL_TOL) -> tuple[np.ndarray, list[int]]:
+    """Greedy merge of labels that agree within `tol` per mode.
+
+    Returns each row's class index and the row of each class's first member.
+    """
+    index = np.empty(len(labels), dtype=int)
+    reps: list[int] = []
+    for t, row in enumerate(labels):
+        same = np.flatnonzero(np.all(np.abs(labels[reps] - row) <= tol, axis=1)) if reps else ()
+        if len(same):
+            index[t] = same[0]
+        else:
+            index[t] = len(reps)
+            reps.append(t)
+    return index, reps
 
 
-def _bs_label(lab: CoherentLabel, i: int, j: int) -> CoherentLabel:
-    amps = list(lab.amps)
-    mu, nu = amps[i], amps[j]
-    s = math.sqrt(0.5)
-    amps[i] = (mu + nu) * s
-    amps[j] = (mu - nu) * s
-    return CoherentLabel(tuple(amps))
+def number_amplitudes(beta: np.ndarray, n_max: int) -> np.ndarray:
+    """A[n, t] = <n|beta_t> for n = 0..n_max, in log space so large counts never overflow."""
+    counts = np.arange(n_max + 1)
+    half_log_fact = 0.5 * np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
+    vacuum = beta == 0
+    log_beta = np.log(np.where(vacuum, 1.0, beta))
+    amps = np.exp(
+        -0.5 * np.abs(beta) ** 2 + counts[:, None] * log_beta - half_log_fact[:, None]
+    )
+    amps[:, vacuum] = (counts == 0)[:, None]
+    return amps
 
 
-def beam_splitter(state, i: int, j: int):
+@dataclass(frozen=True)
+class CoherentState:
+    """sum_t coeffs[t] |labels[t]> for a coefficient vector, or
+    sum_jk coeffs[j, k] |labels[j]><labels[k]| for a coefficient matrix.
+
+    The constructor checks shapes only; amplitudes are checked for finiteness
+    where they enter (`superposition`, `channels.ChannelSpec`, the CLI).
+    """
+
+    labels: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        labels = np.asarray(self.labels, dtype=complex)
+        coeffs = np.asarray(self.coeffs, dtype=complex)
+        if labels.ndim != 2 or not len(labels):
+            raise ValueError("labels must be a nonempty (K, modes) array")
+        if coeffs.shape not in ((len(labels),), (len(labels), len(labels))):
+            raise ValueError(f"coefficients of shape {coeffs.shape} do not fit {len(labels)} labels")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def mode_count(self) -> int:
+        return self.labels.shape[1]
+
+    @property
+    def is_pure(self) -> bool:
+        return self.coeffs.ndim == 1
+
+    def density(self) -> np.ndarray:
+        """Coefficient matrix of the operator form: c c^H for a pure state."""
+        return np.outer(self.coeffs, self.coeffs.conj()) if self.is_pure else self.coeffs
+
+    def trace(self) -> complex:
+        """<x|x> for a pure state, tr(rho) for an operator."""
+        # tr(|j><k|) = <k|j>, i.e. G[k, j]
+        return complex(np.sum(self.density() * gram(self.labels, self.labels).T))
+
+    def weighted(self, w: np.ndarray) -> "CoherentState":
+        """The state with every ket |label_t> replaced by w[t] |label_t>."""
+        coeffs = self.coeffs * w if self.is_pure else self.coeffs * np.outer(w, np.conj(w))
+        return replace(self, coeffs=coeffs)
+
+
+def superposition(pairs: Iterable[tuple[complex, Sequence[complex]]]) -> CoherentState:
+    """Pure state from (coefficient, amplitude-sequence) pairs; every value must be finite."""
+    pairs = list(pairs)
+    coeffs = np.array([c for c, _ in pairs], dtype=complex)
+    labels = np.array([tuple(a) for _, a in pairs], dtype=complex)
+    if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(labels))):
+        raise ValueError("coefficients and coherent amplitudes must be finite")
+    return CoherentState(labels, coeffs)
+
+
+def dedupe(state: CoherentState, tol: float = LABEL_TOL) -> CoherentState:
+    """Merge labels that agree within `tol` per mode, summing their coefficients."""
+    index, reps = dedupe_index(state.labels, tol)
+    merge = (index[None, :] == np.arange(len(reps))[:, None]).astype(float)
+    coeffs = merge @ state.coeffs if state.is_pure else merge @ state.coeffs @ merge.T
+    return CoherentState(state.labels[reps], coeffs)
+
+
+def inner_product(x: CoherentState, y: CoherentState) -> complex:
+    """<x|y> of two pure states."""
+    return complex(x.coeffs.conj() @ gram(x.labels, y.labels) @ y.coeffs)
+
+
+def norm(x: CoherentState) -> float:
+    return math.sqrt(max(x.trace().real, 0.0))
+
+
+def normalized(x: CoherentState) -> CoherentState:
+    """Unit norm for a pure state, unit trace for an operator."""
+    t = x.trace().real
+    if t < 1e-300:
+        raise ValueError("cannot normalize a null state")
+    return replace(x, coeffs=x.coeffs / (math.sqrt(t) if x.is_pure else t))
+
+
+def tensor(x: CoherentState, y: CoherentState) -> CoherentState:
+    """x (x) y over the concatenated modes; an operator on either side makes both operators."""
+    labels = np.concatenate(
+        [np.repeat(x.labels, len(y.labels), axis=0), np.tile(y.labels, (len(x.labels), 1))],
+        axis=1,
+    )
+    if x.is_pure == y.is_pure:
+        return CoherentState(labels, np.kron(x.coeffs, y.coeffs))
+    return CoherentState(labels, np.kron(x.density(), y.density()))
+
+
+def check_modes(state_modes: int, modes: Iterable[int]) -> list[int]:
+    """The listed modes, sorted and unique, after a range check."""
+    modes = sorted(set(modes))
+    for mode in modes:
+        if not 0 <= mode < state_modes:
+            raise IndexError(f"mode {mode} out of range for {state_modes} modes")
+    return modes
+
+
+def beam_splitter(state: CoherentState, i: int, j: int) -> CoherentState:
     """50/50 beam splitter on modes (i, j): (mu, nu) -> ((mu+nu)/sqrt2, (mu-nu)/sqrt2).
 
-    Acts on a CoherentSuperposition or a CoherentOperator; coefficients are
-    untouched, only the labels move, so norms and traces are preserved exactly.
+    Coefficients are untouched, only the labels move, so norms and traces are
+    preserved exactly.
     """
     if i == j:
         raise IndexError("beam splitter needs two distinct modes")
-    if isinstance(state, CoherentOperator):
-        _check_mode(state.mode_count, i)
-        _check_mode(state.mode_count, j)
-        labels = tuple(_bs_label(lab, i, j) for lab in state.labels)
-        return CoherentOperator(labels, state.coeffs)
-    _check_mode(state.mode_count, i)
-    _check_mode(state.mode_count, j)
-    return CoherentSuperposition(tuple((c, _bs_label(lab, i, j)) for c, lab in state.terms))
+    check_modes(state.mode_count, (i, j))
+    labels = state.labels.copy()
+    mu, nu = state.labels[:, i], state.labels[:, j]
+    s = math.sqrt(0.5)
+    labels[:, i] = (mu + nu) * s
+    labels[:, j] = (mu - nu) * s
+    return replace(state, labels=labels)
 
 
-def _phase_label(lab: CoherentLabel, modes: Iterable[int]) -> CoherentLabel:
-    amps = list(lab.amps)
-    for m in modes:
-        amps[m] = -amps[m]
-    return CoherentLabel(tuple(amps))
-
-
-def phase_shift_pi(state, modes: Iterable[int]):
+def phase_shift_pi(state: CoherentState, modes: Iterable[int]) -> CoherentState:
     """Pi phase shift on the listed modes: every amplitude there is negated."""
-    modes = sorted(set(modes))
-    if isinstance(state, CoherentOperator):
-        for m in modes:
-            _check_mode(state.mode_count, m)
-        labels = tuple(_phase_label(lab, modes) for lab in state.labels)
-        return CoherentOperator(labels, state.coeffs)
-    for m in modes:
-        _check_mode(state.mode_count, m)
-    return CoherentSuperposition(
-        tuple((c, _phase_label(lab, modes)) for c, lab in state.terms)
-    )
+    modes = check_modes(state.mode_count, modes)
+    labels = state.labels.copy()
+    labels[:, modes] *= -1
+    return replace(state, labels=labels)
 
 
-def project_photon_number(
-    state: CoherentSuperposition, mode: int, n: int
-) -> tuple[CoherentSuperposition, float]:
+def project_photon_number(state: CoherentState, mode: int, n: int) -> tuple[CoherentState, float]:
     """Project mode `mode` onto the n-photon state.
 
     Returns the unnormalized conditional state on the remaining modes and the
-    outcome probability (its squared norm).
+    outcome probability (its squared norm or trace).
     """
     if n < 0:
         raise ValueError("photon number must be nonnegative")
-    _check_mode(state.mode_count, mode)
-    new_terms = []
-    for c, lab in state.terms:
-        amp = c * number_amplitude(lab.amps[mode], n)
-        rest = lab.amps[:mode] + lab.amps[mode + 1 :]
-        new_terms.append((amp, CoherentLabel(rest)))
-    reduced = dedupe(CoherentSuperposition(tuple(new_terms)))
-    prob = inner_product(reduced, reduced).real
-    return reduced, max(prob, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# density operators over coherent-label dictionaries
-
-
-class CoherentOperator:
-    """Operator sum_{jk} coeffs[j, k] |label_j><label_k| over one dictionary."""
-
-    def __init__(self, labels: Sequence[CoherentLabel], coeffs: np.ndarray):
-        labels = tuple(labels)
-        coeffs = np.array(coeffs, dtype=complex)
-        if coeffs.shape != (len(labels), len(labels)):
-            raise ValueError("coefficient matrix must be square over the dictionary")
-        if labels:
-            n = labels[0].mode_count
-            for lab in labels:
-                if lab.mode_count != n:
-                    raise DimensionMismatchError("all labels must share the mode count")
-        self.labels = labels
-        self.coeffs = coeffs
-
-    @property
-    def mode_count(self) -> int:
-        return self.labels[0].mode_count
-
-    @classmethod
-    def from_pure(cls, state: CoherentSuperposition) -> "CoherentOperator":
-        state = dedupe(state)
-        labels = tuple(lab for _, lab in state.terms)
-        c = np.array([cf for cf, _ in state.terms], dtype=complex)
-        return cls(labels, np.outer(c, c.conjugate()))
-
-    def gram(self) -> np.ndarray:
-        """G[j, k] = <label_j|label_k>."""
-        k = len(self.labels)
-        g = np.empty((k, k), dtype=complex)
-        for a in range(k):
-            g[a, a] = 1.0
-            for b in range(a + 1, k):
-                v = label_overlap(self.labels[a], self.labels[b])
-                g[a, b] = v
-                g[b, a] = v.conjugate()
-        return g
-
-    def trace(self) -> complex:
-        # tr(|j><k|) = <k|j>, i.e. G[k, j]
-        return complex(np.trace(self.coeffs @ self.gram()))
-
-    def scaled(self, factor: complex) -> "CoherentOperator":
-        return CoherentOperator(self.labels, self.coeffs * factor)
-
-    def normalized(self) -> "CoherentOperator":
-        t = self.trace().real
-        if abs(t) < 1e-300:
-            raise ValueError("cannot normalize an operator with zero trace")
-        return self.scaled(1.0 / t)
-
-    def is_hermitian(self, tol: float = LABEL_TOL) -> bool:
-        return bool(np.max(np.abs(self.coeffs - self.coeffs.conj().T)) <= tol)
-
-    def dedupe(self, tol: float = LABEL_TOL) -> "CoherentOperator":
-        """Merge dictionary entries that coincide within `tol` per mode."""
-        reps: list[CoherentLabel] = []
-        index: list[int] = []
-        for lab in self.labels:
-            for i, rep in enumerate(reps):
-                if lab.close_to(rep, tol):
-                    index.append(i)
-                    break
-            else:
-                index.append(len(reps))
-                reps.append(lab)
-        k = len(reps)
-        out = np.zeros((k, k), dtype=complex)
-        for j in range(len(self.labels)):
-            for l in range(len(self.labels)):
-                out[index[j], index[l]] += self.coeffs[j, l]
-        return CoherentOperator(tuple(reps), out)
-
-
-def op_tensor(a: CoherentOperator, b: CoherentOperator) -> CoherentOperator:
-    labels = tuple(
-        CoherentLabel(la.amps + lb.amps) for la in a.labels for lb in b.labels
-    )
-    return CoherentOperator(labels, np.kron(a.coeffs, b.coeffs))
-
-
-def trace_out(op: CoherentOperator, modes: Iterable[int]) -> CoherentOperator:
-    """Partial trace over `modes`, in closed form via per-mode overlap factors.
-
-    tr_m(|a><b|) = <b_m|a_m> |a_rest><b_rest|; tracing every mode leaves a
-    dictionary with a single empty label whose coefficient is the trace.
-    """
-    modes = sorted(set(modes))
-    for m in modes:
-        _check_mode(op.mode_count, m)
-    keep = [m for m in range(op.mode_count) if m not in modes]
-    k = len(op.labels)
-    factors = np.ones((k, k), dtype=complex)
-    for j in range(k):
-        for l in range(k):
-            f = 1.0 + 0j
-            for m in modes:
-                f *= overlap(op.labels[l].amps[m], op.labels[j].amps[m])
-            factors[j, l] = f
-    new_labels = tuple(
-        CoherentLabel(tuple(lab.amps[m] for m in keep)) for lab in op.labels
-    )
-    return CoherentOperator(new_labels, op.coeffs * factors).dedupe()
-
-
-def project_photon_number_op(
-    op: CoherentOperator, mode: int, n: int
-) -> tuple[CoherentOperator, float]:
-    """Photon-number projection of an operator; returns (conditional, probability)."""
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
-    _check_mode(op.mode_count, mode)
-    f = np.array([number_amplitude(lab.amps[mode], n) for lab in op.labels])
-    coeffs = op.coeffs * np.outer(f, f.conjugate())
-    labels = tuple(
-        CoherentLabel(lab.amps[:mode] + lab.amps[mode + 1 :]) for lab in op.labels
-    )
-    reduced = CoherentOperator(labels, coeffs).dedupe()
+    check_modes(state.mode_count, (mode,))
+    f = number_amplitudes(state.labels[:, mode], n)[n]
+    rest = CoherentState(np.delete(state.labels, mode, axis=1), state.coeffs)
+    reduced = dedupe(rest.weighted(f))
     return reduced, max(reduced.trace().real, 0.0)
 
 
-def operator_fidelity(a: CoherentOperator, b: CoherentOperator) -> float:
-    """tr(a b) for Hermitian unit-trace operators; real in [0, 1]."""
-    if a.mode_count != b.mode_count:
-        raise DimensionMismatchError("operators live on different mode counts")
-    gab = np.empty((len(a.labels), len(b.labels)), dtype=complex)
-    for j, la in enumerate(a.labels):
-        for p, lb in enumerate(b.labels):
-            gab[j, p] = label_overlap(la, lb)
-    value = np.trace(a.coeffs @ gab @ b.coeffs @ gab.conj().T)
-    return float(value.real)
+def trace_out(state: CoherentState, modes: Iterable[int]) -> CoherentState:
+    """Partial trace over `modes`, in closed form via the traced modes' Gram matrix.
+
+    tr_m(|a><b|) = <b_m|a_m> |a_rest><b_rest|; tracing every mode leaves a
+    single empty label whose coefficient is the trace.
+    """
+    modes = check_modes(state.mode_count, modes)
+    traced = state.labels[:, modes]
+    coeffs = state.density() * gram(traced, traced).T
+    return dedupe(CoherentState(np.delete(state.labels, modes, axis=1), coeffs))
 
 
-def pure_fidelity(x: CoherentSuperposition, rho: Union[CoherentOperator, CoherentSuperposition]) -> float:
-    """<x|rho|x> for a normalized pure reference x."""
-    if isinstance(rho, CoherentSuperposition):
-        if x.mode_count != rho.mode_count:
-            raise DimensionMismatchError("states live on different mode counts")
-        return abs(inner_product(x, rho)) ** 2
-    if x.mode_count != rho.mode_count:
-        raise DimensionMismatchError("states live on different mode counts")
-    w = np.empty(len(rho.labels), dtype=complex)
-    for j, lab in enumerate(rho.labels):
-        v = 0j
-        for c, xl in x.terms:
-            v += c.conjugate() * label_overlap(xl, lab)
-        w[j] = v
-    return float((w @ rho.coeffs @ w.conjugate()).real)
+def fidelity(a: CoherentState, b: CoherentState) -> float:
+    """tr(a b) over the operator forms: |<a|b>|^2 for pure states, <a|b|a>
+    for a pure reference a; real in [0, 1] for normalized states."""
+    g = gram(a.labels, b.labels)
+    # sum_jq (A G B)_jq conj(G_jq) = tr(A G B G^H)
+    return float(np.einsum("jq,jq->", a.density() @ g @ b.density(), g.conj()).real)

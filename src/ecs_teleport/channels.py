@@ -8,15 +8,18 @@ m-mode input states use the same ladder one rung shorter.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (
     MIN_AMPLITUDE,
-    CoherentSuperposition,
+    CoherentState,
     UnsupportedStructureError,
+    gram,
     normalized,
-    overlap,
     superposition,
 )
 from . import fock
@@ -33,6 +36,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if not cmath.isfinite(complex(self.alpha)):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if abs(self.alpha) < MIN_AMPLITUDE:
             raise ValueError(
                 f"|alpha| must be >= {MIN_AMPLITUDE}; the channel degenerates at alpha = 0"
@@ -70,7 +75,7 @@ def norm_constant(m: int, alpha: complex, sign: str) -> float:
     return 1.0 / math.sqrt(-2.0 * math.expm1(-z))  # 1 - exp(-z) without cancellation
 
 
-def build_channel(spec: ChannelSpec) -> CoherentSuperposition:
+def build_channel(spec: ChannelSpec) -> CoherentState:
     """Normalized (m+1)-mode channel state A (|+branch> +- |-branch>)."""
     amps = channel_amplitudes(spec.m, spec.alpha)
     neg = tuple(-a for a in amps)
@@ -80,8 +85,9 @@ def build_channel(spec: ChannelSpec) -> CoherentSuperposition:
 
 def build_input(
     m: int, alpha: complex, kappa1: complex, kappa2: complex
-) -> CoherentSuperposition:
-    """Normalized m-mode state kappa1 |+branch> + kappa2 |-branch>."""
+) -> CoherentState:
+    """Normalized m-mode state kappa1 |+branch> + kappa2 |-branch>; `superposition`
+    rejects a non-finite alpha or kappa."""
     if abs(alpha) < MIN_AMPLITUDE:
         raise ValueError(f"|alpha| must be >= {MIN_AMPLITUDE}")
     if kappa1 == 0 and kappa2 == 0:
@@ -144,26 +150,25 @@ class SchmidtPair:
 
 
 def schmidt_coefficients(
-    state: CoherentSuperposition, bipartition: tuple[tuple[int, ...], tuple[int, ...]]
+    state: CoherentState, bipartition: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> SchmidtPair:
-    """Express a normalized two-branch state in the orthonormal basis built by
-    Gram-Schmidt from its two branch products on each side of the cut.
+    """Express a normalized two-branch pure state in the orthonormal basis
+    built by Gram-Schmidt from its two branch products on each side of the cut.
 
     |0>_x is the first branch restricted to side x, |1>_x the second branch
     orthogonalized against it.
     """
-    side_a, side_b = tuple(bipartition[0]), tuple(bipartition[1])
+    side_a, side_b = list(bipartition[0]), list(bipartition[1])
     if sorted(side_a + side_b) != list(range(state.mode_count)):
         raise ValueError("bipartition must split the modes exactly")
-    terms = [(c, lab) for c, lab in state.terms if c != 0]
-    if len(terms) != 2:
+    branches = np.flatnonzero(state.coeffs != 0)
+    if len(branches) != 2:
         raise UnsupportedStructureError("state must have exactly two branches")
-    (c1, lab1), (c2, lab2) = terms
+    c1, c2 = state.coeffs[branches].tolist()
+    lab1, lab2 = state.labels[branches]
 
     def gs(side):
-        t = 1.0 + 0j
-        for m in side:
-            t *= overlap(lab1.amps[m], lab2.amps[m])
+        t = complex(gram(lab1[None, side], lab2[None, side])[0, 0])
         usq = 1.0 - abs(t) ** 2
         if usq < 1e-14:
             raise UnsupportedStructureError(

@@ -26,12 +26,7 @@ from .channels import (
     norm_constant,
 )
 from .noise import teleport_through_noise, teleported_fidelity_exact, channel_fidelity
-from .teleport import (
-    default_n_max,
-    even_success_unsquared_variant,
-    run_protocol,
-    success_probability_closed_form,
-)
+from .teleport import default_n_max, run_protocol, success_probability_closed_form
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
@@ -47,6 +42,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _fmt(value: float) -> str:
@@ -69,20 +74,20 @@ def _build_parser() -> _Parser:
 
     def common(p, eta=False, kappas=False, engine=False):
         p.add_argument("--m", type=int, default=None, help="number of teleported modes")
-        p.add_argument("--alpha", type=float, default=1.0, help="coherent amplitude")
+        p.add_argument("--alpha", type=_finite_float, default=1.0, help="coherent amplitude")
         p.add_argument("--alpha-range", nargs=3, metavar=("A", "B", "N"), default=None,
                        help="sweep alpha over N points in [A, B]")
         p.add_argument("--sign", choices=("plus", "minus"), default="minus")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if eta:
-            p.add_argument("--eta", type=float, default=1.0, help="loss transmissivity")
+            p.add_argument("--eta", type=_finite_float, default=1.0, help="loss transmissivity")
             p.add_argument("--eta-range", nargs=3, metavar=("A", "B", "N"), default=None)
         if kappas:
-            p.add_argument("--kappa1-re", type=float, default=1 / math.sqrt(2))
-            p.add_argument("--kappa1-im", type=float, default=0.0)
-            p.add_argument("--kappa2-re", type=float, default=1 / math.sqrt(2))
-            p.add_argument("--kappa2-im", type=float, default=0.0)
+            p.add_argument("--kappa1-re", type=_finite_float, default=1 / math.sqrt(2))
+            p.add_argument("--kappa1-im", type=_finite_float, default=0.0)
+            p.add_argument("--kappa2-re", type=_finite_float, default=1 / math.sqrt(2))
+            p.add_argument("--kappa2-im", type=_finite_float, default=0.0)
         if engine:
             p.add_argument("--engine", choices=("closed_form", "coherent", "oracle", "all"),
                            default="coherent")
@@ -108,6 +113,8 @@ def _range(spec, fallback: Sequence[float]) -> np.ndarray:
     if spec is None:
         return np.asarray(fallback, dtype=float)
     a, b, n = float(spec[0]), float(spec[1]), int(spec[2])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"range ends must be finite, got {spec[0]} and {spec[1]}")
     if n < 2:
         raise ValueError("range needs at least 2 steps")
     return np.linspace(a, b, n)
@@ -159,7 +166,7 @@ def _oracle_outcomes(m: int, alpha: float, k1, k2, sign: str, n_max: int):
     chan = build_channel(ChannelSpec(m=m, alpha=alpha, sign=sign))
     joint = tensor(inp, chan)
     # per-mode dims sized from the amplitudes the fold cascade reaches
-    lam = [max(abs(lab.amps[k]) for _, lab in joint.terms) ** 2 for k in range(2 * m + 1)]
+    lam = (np.abs(joint.labels).max(axis=0) ** 2).tolist()
     lam[m - 1] = lam[m] = (2.0**m) * alpha**2
     if m >= 2:
         lam[: m - 1] = [2.0 ** (m - 1) * alpha**2] * (m - 1)
@@ -222,7 +229,6 @@ def cmd_teleport(args) -> int:
         ("mean_fidelity", report.mean_fidelity),
         ("closed_form_odd_aggregate", success_probability_closed_form(m, args.alpha, "odd")),
         ("closed_form_even_aggregate_squared", success_probability_closed_form(m, args.alpha, "even")),
-        ("closed_form_even_aggregate_unsquared_variant", even_success_unsquared_variant(m, args.alpha)),
     ]
     odd_dev = _max_odd_closed_form_dev(report, m, args.alpha, args.sign, args.eta)
     if odd_dev is not None:

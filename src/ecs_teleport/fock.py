@@ -18,10 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import (
-    CoherentSuperposition,
-    UnsupportedStructureError,
-)
+from .algebra import CoherentState, UnsupportedStructureError
 
 
 def default_cutoff(beta_max: float) -> int:
@@ -67,15 +64,15 @@ class FockVector:
         return float(np.linalg.norm(self.data))
 
 
-def encode(state: CoherentSuperposition, cutoff: Union[int, Sequence[int], None] = None) -> FockVector:
-    """Expand a coherent superposition in the truncated number basis.
+def encode(state: CoherentState, cutoff: Union[int, Sequence[int], None] = None) -> FockVector:
+    """Expand a pure coherent-label state in the truncated number basis.
 
     `cutoff` is one photon-number cutoff for every mode, a per-mode sequence,
     or None to apply the default cutoff rule per mode.  A cutoff below the rule
     is allowed but triggers a warning when the truncation weight is large.
     """
     modes = state.mode_count
-    beta_max = [max(abs(lab.amps[m]) for _, lab in state.terms) for m in range(modes)]
+    beta_max = np.abs(state.labels).max(axis=0).tolist()
     if cutoff is None:
         cuts = [default_cutoff(b) for b in beta_max]
     elif isinstance(cutoff, int):
@@ -95,9 +92,9 @@ def encode(state: CoherentSuperposition, cutoff: Union[int, Sequence[int], None]
             )
     dims = tuple(c + 1 for c in cuts)
     data = np.zeros(dims, dtype=complex)
-    for coeff, lab in state.terms:
+    for coeff, row in zip(state.coeffs.tolist(), state.labels.tolist()):
         acc = np.array(coeff, dtype=complex)
-        for a, d in zip(lab.amps, dims):
+        for a, d in zip(row, dims):
             acc = np.multiply.outer(acc, coherent_column(a, d))
         data = data + acc
     return FockVector(dims, data)
@@ -193,9 +190,9 @@ def product_overlap(amps_a: Sequence[complex], amps_b: Sequence[complex]) -> com
 
 
 def reduce_to_qubits(
-    state: CoherentSuperposition, bipartition: tuple[Sequence[int], Sequence[int]]
+    state: CoherentState, bipartition: tuple[Sequence[int], Sequence[int]]
 ) -> np.ndarray:
-    """Two-qubit density matrix of a two-branch state across a bipartition.
+    """Two-qubit density matrix of a two-branch pure state across a bipartition.
 
     Each side of the cut supports exactly two product branches; Gram-Schmidt
     turns them into an orthonormal {|0>, |1>} pair (|0> is the first branch,
@@ -206,18 +203,16 @@ def reduce_to_qubits(
     modes = state.mode_count
     if sorted(side_a + side_b) != list(range(modes)):
         raise ValueError("bipartition must split the modes exactly")
-    terms = [(c, lab) for c, lab in state.terms if c != 0]
-    if len(terms) != 2:
+    branches = np.flatnonzero(state.coeffs != 0)
+    if len(branches) != 2:
         raise UnsupportedStructureError("state must have exactly two branches")
-    (c1, lab1), (c2, lab2) = terms
-
-    def side_amps(lab, side):
-        return tuple(lab.amps[m] for m in side)
+    c1, c2 = state.coeffs[branches].tolist()
+    lab1, lab2 = state.labels[branches]
 
     def basis_coeffs(side):
         # branch overlaps via truncated sums; returns (t, u) with
         # |branch2> = t |0> + u |1>, u = sqrt(1 - |t|^2)
-        t = product_overlap(side_amps(lab1, side), side_amps(lab2, side))
+        t = product_overlap(lab1[list(side)].tolist(), lab2[list(side)].tolist())
         usq = 1.0 - abs(t) ** 2
         if usq < 1e-14:
             raise UnsupportedStructureError(

@@ -17,25 +17,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .algebra import (
-    LABEL_TOL,
-    CoherentLabel,
-    CoherentOperator,
-    CoherentSuperposition,
-    DimensionMismatchError,
+    CoherentState,
     UnsupportedStructureError,
     beam_splitter,
+    dedupe_index,
+    gram,
     normalized,
+    number_amplitudes,
     phase_shift_pi,
+    tensor,
 )
 from .channels import ChannelSpec, build_channel, build_input
 from .fock import default_cutoff
-
-BobState = Union[CoherentSuperposition, CoherentOperator]
 
 # Corrections Bob may apply after hearing (l, n):
 #   none            outcome already carries the input
@@ -56,7 +54,7 @@ class ProtocolOutcome:
     l: int
     n: int
     probability: float
-    bob_state: BobState
+    bob_state: CoherentState
     correction: str = "none"
     fidelity: float = float("nan")
 
@@ -90,7 +88,7 @@ def fold_pairs(m: int) -> list[tuple[int, int]]:
     return [(acc, k) for k in range(m - 2, -1, -1)] + [(acc, m)]
 
 
-def fold_network(joint, m: int):
+def fold_network(joint: CoherentState, m: int) -> CoherentState:
     """Run the fold cascade on the joint state (pure or operator form)."""
     expected = 2 * m + 1
     if joint.mode_count != expected:
@@ -129,50 +127,6 @@ def correction_for(l: int, n: int, channel_sign: str) -> str:
     raise ValueError("outcomes with both counts nonzero never occur")
 
 
-def _label_array(labels) -> np.ndarray:
-    """(K, modes) array of the labels' amplitudes."""
-    return np.array([lab.amps for lab in labels], dtype=complex)
-
-
-def _gram(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """G[j, k] = <bra_j|ket_k> for label arrays of shape (J, M) and (K, M)."""
-    return np.exp(
-        -0.5 * (np.abs(bra) ** 2).sum(axis=1)[:, None]
-        - 0.5 * (np.abs(ket) ** 2).sum(axis=1)[None, :]
-        + bra.conj() @ ket.T
-    )
-
-
-def _dedupe_index(amps: np.ndarray, tol: float = LABEL_TOL) -> tuple[np.ndarray, list[int]]:
-    """Greedy merge of labels that agree within `tol` per mode.
-
-    Returns each row's class index and the row of each class's first member.
-    """
-    index = np.empty(len(amps), dtype=int)
-    reps: list[int] = []
-    for t, row in enumerate(amps):
-        same = np.flatnonzero(np.all(np.abs(amps[reps] - row) <= tol, axis=1)) if reps else ()
-        if len(same):
-            index[t] = same[0]
-        else:
-            index[t] = len(reps)
-            reps.append(t)
-    return index, reps
-
-
-def _number_amplitudes(beta: np.ndarray, n_max: int) -> np.ndarray:
-    """A[n, t] = <n|beta_t> for n = 0..n_max, in log space so large counts never overflow."""
-    counts = np.arange(n_max + 1)
-    half_log_fact = 0.5 * np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
-    vacuum = beta == 0
-    log_beta = np.log(np.where(vacuum, 1.0, beta))
-    amps = np.exp(
-        -0.5 * np.abs(beta) ** 2 + counts[:, None] * log_beta - half_log_fact[:, None]
-    )
-    amps[:, vacuum] = (counts == 0)[:, None]
-    return amps
-
-
 def _quadratic_forms(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Re sum_st f[r, s] weights[s, t] conj(f[r, t]) for every row r of f."""
     return np.einsum("rs,st,rt->r", f, weights, f.conj()).real
@@ -202,102 +156,82 @@ def _branch_signs(amps: np.ndarray, plus: np.ndarray) -> np.ndarray:
     return np.where(on_plus, 1.0, -1.0)
 
 
-def _apply_sign_flip(state: BobState, plus_amps: np.ndarray) -> BobState:
-    """|+branch> -> |+branch>, |-branch> -> -|-branch>, renormalized: the flip
-    is not unitary on non-orthogonal branches."""
-    if isinstance(state, CoherentOperator):
-        signs = _branch_signs(_label_array(state.labels), plus_amps)
-        return CoherentOperator(state.labels, state.coeffs * np.outer(signs, signs)).normalized()
-    signs = _branch_signs(_label_array(lab for _, lab in state.terms), plus_amps)
-    return normalized(
-        CoherentSuperposition(tuple((c * s, lab) for (c, lab), s in zip(state.terms, signs)))
-    )
-
-
 def bob_correction(
     outcome: ProtocolOutcome,
     channel_sign: str,
     m: int,
     plus_amps: Optional[tuple[complex, ...]] = None,
-) -> BobState:
-    """Apply the classical-communication correction to Bob's conditional state."""
+) -> CoherentState:
+    """Apply the classical-communication correction to Bob's conditional state.
+
+    The sign flip |+branch> -> |+branch>, |-branch> -> -|-branch> is not
+    unitary on non-orthogonal branches, so the flipped state is renormalized.
+    """
     what = correction_for(outcome.l, outcome.n, channel_sign)
     state = outcome.bob_state
     if what in ("phase_only", "phase_plus_sign"):
         state = phase_shift_pi(state, range(m))
     if what in ("sign_only", "phase_plus_sign"):
         if plus_amps is None:
-            labels = state.labels if isinstance(state, CoherentOperator) else [lab for _, lab in state.terms]
-            plus = _default_plus_amps(_label_array(labels))
+            plus = _default_plus_amps(state.labels)
         else:
             plus = np.asarray(plus_amps, dtype=complex)
-        state = _apply_sign_flip(state, plus)
+        state = normalized(state.weighted(_branch_signs(state.labels, plus)))
     return state
 
 
 def enumerate_outcomes(
-    folded,
+    folded: CoherentState,
     m: int,
     n_max: int,
     sign: str = "minus",
-    reference: Optional[CoherentSuperposition] = None,
+    reference: Optional[CoherentState] = None,
 ) -> ProtocolReport:
     """Enumerate the (l=0, n) and (l, n=0) measurement records of a folded state.
 
     Outcomes with both counts nonzero carry exactly zero probability because
     every branch of the folded state is exactly vacuum on one measured mode.
     Records below PROB_FLOOR are dropped.  Bob's conditional states are
-    normalized; when `reference` is given each outcome is corrected and scored
-    against it.  `success_probability` sums every outcome except (0, 0), whose
-    conditional state is a branch mixture the protocol cannot repair;
-    `mean_fidelity` is the probability-weighted fidelity over those success
-    outcomes.
+    normalized, pure when `folded` is; when `reference` is given each outcome
+    is corrected and scored against it.  `success_probability` sums every
+    outcome except (0, 0), whose conditional state is a branch mixture the
+    protocol cannot repair; `mean_fidelity` is the probability-weighted
+    fidelity over those success outcomes.
 
     Pure and operator states share one vectorized pass.  With C the folded
-    coefficient matrix (c c^H for a superposition), f[r, t] = <l_r|a_t,m-1>
+    coefficient matrix (c c^H for a pure state), f[r, t] = <l_r|a_t,m-1>
     <n_r|a_t,m> the measured-mode amplitudes of label t for record r, and G
     the Gram matrix of Bob's labels (which no record changes), every record's
     probability is tr((C o f f^H) G).  Each correction negates every label or
     none and flips the sign of the -branch or not, so one overlap vector
     between the reference and the corrected labels scores all records of
-    that correction at once.
+    that correction at once, and those records share one label array.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if isinstance(folded, CoherentOperator):
-        labels, coeffs, vector = folded.labels, folded.coeffs, None
-    else:
-        labels = [lab for _, lab in folded.terms]
-        vector = np.array([c for c, _ in folded.terms])
-        coeffs = np.outer(vector, vector.conj())
-    amps = _label_array(labels)
+    amps, coeffs = folded.labels, folded.density()
     if np.any(np.abs(amps[:, : m - 1]) > 1e-9):
         raise AssertionError("fold network left a non-vacuum input mode")
-    index, reps = _dedupe_index(amps[:, m + 1 :])
+    index, reps = dedupe_index(amps[:, m + 1 :])
     bob = amps[reps, m + 1 :]
-    gram = _gram(bob, bob)[np.ix_(index, index)]  # over the folded labels
+    bob_gram = gram(bob, bob)[np.ix_(index, index)]  # over the folded labels
 
     ls = np.concatenate([np.zeros(n_max + 1, dtype=int), np.arange(1, n_max + 1)])
     ns = np.concatenate([np.arange(n_max + 1), np.zeros(n_max, dtype=int)])
-    f = _number_amplitudes(amps[:, m - 1], n_max)[ls] * _number_amplitudes(amps[:, m], n_max)[ns]
-    probs = _quadratic_forms(f, coeffs * gram.T)
+    f = number_amplitudes(amps[:, m - 1], n_max)[ls] * number_amplitudes(amps[:, m], n_max)[ns]
+    probs = _quadratic_forms(f, coeffs * bob_gram.T)
     kept = np.flatnonzero(probs >= PROB_FLOOR)
     f, probs = f[kept], probs[kept]
     corrections = [
         correction_for(int(ls[r]), int(ns[r]), sign) if reference is not None else "none"
         for r in kept
     ]
-    if reference is not None:
-        if reference.mode_count != bob.shape[1]:
-            raise DimensionMismatchError("states live on different mode counts")
-        ref = _label_array(lab for _, lab in reference.terms)
-        ref_coeffs = np.array([c for c, _ in reference.terms]).conj()
 
     merge = (index[None, :] == np.arange(len(reps))[:, None]).astype(complex)
-    if vector is None:
-        states = np.einsum("js,rs,st,rt,kt->rjk", merge, f, coeffs, f.conj(), merge)
+    if folded.is_pure:
+        states = (f * folded.coeffs) @ merge.T
     else:
-        states = (f * vector) @ merge.T
+        states = np.einsum("js,rs,st,rt,kt->rjk", merge, f, coeffs, f.conj(), merge)
     fidelity = np.full(len(kept), np.nan)
     class_labels = {}
     for what in dict.fromkeys(corrections):
@@ -308,27 +242,24 @@ def enumerate_outcomes(
         if what in ("sign_only", "phase_plus_sign"):
             signs = _branch_signs(corrected, _default_plus_amps(corrected))
             flip = signs[index]
-            norms = _quadratic_forms(f[rows], coeffs * gram.T * np.outer(flip, flip))
-        if vector is None:
-            states[rows] *= np.outer(signs, signs) / norms[:, None, None]
-        else:
+            norms = _quadratic_forms(f[rows], coeffs * bob_gram.T * np.outer(flip, flip))
+        if folded.is_pure:
             states[rows] *= signs / np.sqrt(norms)[:, None]
-        if reference is not None:
-            overlaps = (ref_coeffs @ _gram(ref, corrected)) * signs
-            fidelity[rows] = _quadratic_forms(f[rows] * overlaps[index], coeffs) / norms
-        class_labels[what] = tuple(CoherentLabel(tuple(row)) for row in corrected)
-
-    outcomes = []
-    for i, r in enumerate(kept):
-        lab = class_labels[corrections[i]]
-        if vector is None:
-            bob_state = CoherentOperator(lab, states[i])
         else:
-            bob_state = CoherentSuperposition(tuple(zip(states[i].tolist(), lab)))
-        outcomes.append(ProtocolOutcome(
-            l=int(ls[r]), n=int(ns[r]), probability=float(probs[i]), bob_state=bob_state,
+            states[rows] *= np.outer(signs, signs) / norms[:, None, None]
+        if reference is not None:
+            overlaps = (reference.coeffs.conj() @ gram(reference.labels, corrected)) * signs
+            fidelity[rows] = _quadratic_forms(f[rows] * overlaps[index], coeffs) / norms
+        class_labels[what] = corrected
+
+    outcomes = [
+        ProtocolOutcome(
+            l=int(ls[r]), n=int(ns[r]), probability=float(probs[i]),
+            bob_state=CoherentState(class_labels[corrections[i]], states[i]),
             correction=corrections[i], fidelity=float(fidelity[i]),
-        ))
+        )
+        for i, r in enumerate(kept)
+    ]
     succ = [o for o in outcomes if o.is_success]
     p_succ = sum(o.probability for o in succ)
     if reference is not None and p_succ > 0:
@@ -351,8 +282,6 @@ def run_protocol(
     Every corrected success outcome reproduces the input state exactly (for
     the minus channel; the plus channel via the swapped parity rules).
     """
-    from .algebra import tensor
-
     spec = ChannelSpec(m=m, alpha=alpha, sign=sign)
     inp = build_input(m, alpha, kappa1, kappa2)
     chan = build_channel(spec)
@@ -413,12 +342,3 @@ def success_probability_closed_form(
         return math.exp(log_p) / (2.0 * (1.0 + math.exp(-2.0 * x)))
     raise ValueError("parity must be 'odd' or 'even'")
 
-
-def even_success_unsquared_variant(m: int, alpha: complex) -> float:
-    """The competing even-parity aggregate with an unsquared numerator.
-
-    Rejected by the engine adjudication: the protocol's even-parity success
-    probability on the plus channel carries the squared factor.
-    """
-    x = (2.0**m) * abs(alpha) ** 2
-    return (1.0 - math.exp(-x)) / (2.0 * (1.0 + math.exp(-2.0 * x)))

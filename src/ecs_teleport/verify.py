@@ -6,22 +6,20 @@ adjudicated by the protocol engine.  Used by the `verify` CLI subcommand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import fock
 from .algebra import (
-    CoherentOperator,
-    CoherentSuperposition,
+    CoherentState,
     beam_splitter,
+    fidelity,
     inner_product,
     normalized,
-    operator_fidelity,
     project_photon_number,
-    pure_fidelity,
     superposition,
-    tensor,
 )
 from .channels import (
     ChannelSpec,
@@ -31,17 +29,119 @@ from .channels import (
     schmidt_coefficients,
 )
 from .noise import (
-    adjudicate_teleported_fidelity,
     channel_fidelity,
     lossy_channel_operator,
     teleport_through_noise,
     teleported_fidelity_exact,
 )
-from .teleport import (
-    even_success_unsquared_variant,
-    run_protocol,
-    success_probability_closed_form,
-)
+from .teleport import run_protocol, success_probability_closed_form
+
+
+# ---------------------------------------------------------------------------
+# rejected formula variants, kept here where they are adjudicated
+
+
+def even_success_unsquared_variant(m: int, alpha: complex) -> float:
+    """The competing even-parity aggregate with an unsquared numerator.
+
+    Rejected by the engine adjudication: the protocol's even-parity success
+    probability on the plus channel carries the squared factor.
+    """
+    x = (2.0**m) * abs(alpha) ** 2
+    return (1.0 - math.exp(-x)) / (2.0 * (1.0 + math.exp(-2.0 * x)))
+
+
+@dataclass(frozen=True)
+class TeleportedFidelityForms:
+    """The two candidate closed forms for the lossy teleported fidelity plus
+    the engine-exact value.
+
+    `flat` keeps the decoherence exponent 2^m (1-eta)^2 independent of the
+    amplitude; `alpha_scaled` multiplies it by |alpha|^2.  The adjudication in
+    `adjudicate_teleported_fidelity` below shows the alpha-scaled variant is
+    the meaningful candidate (dimensionally consistent, and it converges to
+    the engine in the strong-damping regime) while neither candidate is the
+    exact law; `exact` is.
+    """
+
+    flat: float
+    alpha_scaled: float
+    exact: float
+
+    @property
+    def closest(self) -> str:
+        df = abs(self.flat - self.exact)
+        da = abs(self.alpha_scaled - self.exact)
+        return "alpha_scaled" if da <= df else "flat"
+
+
+def teleported_fidelity_closed_form(m: int, alpha: complex, eta: float) -> TeleportedFidelityForms:
+    """Candidate closed forms for the teleported fidelity through loss."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    a2 = abs(alpha) ** 2
+    ep = (1.0 - eta) ** 2
+    denom = 2.0 * (1.0 - math.exp(-(2.0**m) * a2))
+    damped = 1.0 - math.exp(-(2.0**m) * eta * a2)
+    flat = (1.0 + math.exp(-(2.0**m) * ep)) * damped / denom
+    scaled = (1.0 + math.exp(-(2.0**m) * ep * a2)) * damped / denom
+    return TeleportedFidelityForms(
+        flat=flat,
+        alpha_scaled=scaled,
+        exact=teleported_fidelity_exact(m, alpha, eta),
+    )
+
+
+@dataclass(frozen=True)
+class FidelityAdjudication:
+    grid: tuple[tuple[float, float], ...]
+    max_dev_flat: float
+    max_dev_alpha_scaled: float
+    max_dev_exact: float
+    winner: str
+
+
+def adjudicate_teleported_fidelity(
+    m: int = 3,
+    alphas: Optional[Iterable[float]] = None,
+    etas: Optional[Iterable[float]] = None,
+) -> FidelityAdjudication:
+    """Compare the engine's teleported fidelity against the candidate forms.
+
+    The default 5x5 grid sits in the strong-damping regime (large alpha,
+    small eta), where every contribution beyond the disputed amplitude
+    scaling is suppressed below 1e-7: there the alpha-scaled variant tracks
+    the engine to better than 1e-6 while the flat variant is off by more
+    than 1e-3, a definitive verdict that the decoherence exponent scales
+    with |alpha|^2.  On figure-regime grids neither candidate is exact and
+    only `teleported_fidelity_exact` follows the engine.
+    """
+    if alphas is None:
+        alphas = np.linspace(2.2, 3.0, 5)
+    if etas is None:
+        etas = np.linspace(0.05, 0.25, 5)
+    grid = []
+    dev_flat = dev_scaled = dev_exact = 0.0
+    for a in alphas:
+        for e in etas:
+            report = teleport_through_noise(m, a, e, 1.0, -1.0, n_max=12)
+            succ = [o for o in report.outcomes if o.is_success]
+            engine = sum(o.probability * o.fidelity for o in succ) / sum(
+                o.probability for o in succ
+            )
+            forms = teleported_fidelity_closed_form(m, a, e)
+            dev_flat = max(dev_flat, abs(engine - forms.flat))
+            dev_scaled = max(dev_scaled, abs(engine - forms.alpha_scaled))
+            dev_exact = max(dev_exact, abs(engine - forms.exact))
+            grid.append((float(a), float(e)))
+    winner = "alpha_scaled" if dev_scaled < dev_flat else "flat"
+    return FidelityAdjudication(
+        grid=tuple(grid),
+        max_dev_flat=dev_flat,
+        max_dev_alpha_scaled=dev_scaled,
+        max_dev_exact=dev_exact,
+        winner=winner,
+    )
 
 
 @dataclass
@@ -59,7 +159,7 @@ class SuiteResult:
         return msg
 
 
-def _random_superposition(rng: np.random.Generator, modes: int, branches: int) -> CoherentSuperposition:
+def _random_superposition(rng: np.random.Generator, modes: int, branches: int) -> CoherentState:
     pairs = []
     for _ in range(branches):
         coeff = complex(rng.normal(), rng.normal())
@@ -222,10 +322,8 @@ def lossy_channel_fidelity(seed: int = 0, trials: int = 0) -> SuiteResult:
         for eta in (0.15, 0.5, 0.85, 1.0):
             rho_pe = lossy_channel_operator(3, alpha, eta)
             ref_amp = math.sqrt(eta) * alpha
-            ref = CoherentOperator.from_pure(
-                build_channel(ChannelSpec(3, ref_amp, "minus"))
-            )
-            dev = abs(operator_fidelity(ref, rho_pe) - channel_fidelity(alpha, eta))
+            ref = build_channel(ChannelSpec(3, ref_amp, "minus"))
+            dev = abs(fidelity(ref, rho_pe) - channel_fidelity(alpha, eta))
             worst = max(worst, dev)
     return SuiteResult(
         "lossy channel fidelity",

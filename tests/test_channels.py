@@ -78,8 +78,8 @@ def test_ladder_self_similarity_under_fold():
 
 def test_build_input_product_state_limit():
     state = build_input(3, 1.0, 1.0, 0.0)
-    assert len([t for t in state.terms if abs(t[0]) > 0]) == 1
-    assert np.allclose(state.terms[0][1].amps, (math.sqrt(2), 1.0, 1.0))
+    assert np.count_nonzero(state.coeffs) == 1
+    assert np.allclose(state.labels[0], (math.sqrt(2), 1.0, 1.0))
 
 
 def test_build_input_normalizes_random_inputs(rng):
@@ -93,6 +93,16 @@ def test_build_input_normalizes_random_inputs(rng):
 def test_build_input_rejects_zero_pair():
     with pytest.raises(ValueError):
         build_input(3, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_non_finite_amplitudes_and_kappas_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ChannelSpec(3, bad, "minus")
+    with pytest.raises(ValueError, match="finite"):
+        build_input(3, bad, 1.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        build_input(3, 1.0, complex(1.0, bad), 1.0)
 
 
 # --- concurrence closed forms ---------------------------------------------------

@@ -3,6 +3,8 @@ closed-form invocations at the edges of the parameter domain."""
 
 import math
 
+import pytest
+
 from ecs_teleport import cli
 
 
@@ -54,3 +56,54 @@ def test_fig2_at_zero_amplitude(capsys):
     values = [float(line.split(",")[2]) for line in lines[1:]]
     assert len(values) == 5 * 50
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_fig1_at_zero_amplitude(capsys):
+    # channel_fidelity returns its alpha -> 0 limit eta rather than rejecting alpha = 0
+    assert cli.main(["figures", "fig1", "--alpha-range", "0", "1", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    values = [float(line.split(",")[2]) for line in lines[1:]]
+    assert len(values) == 5 * 50
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert [float(line.split(",")[2]) for line in lines[1:51]] == [
+        float(line.split(",")[1]) for line in lines[1:51]
+    ]
+
+
+def _exit_code(argv):
+    """cli.main's exit status, whether it returns or argparse exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["teleport", "--alpha", "inf"],
+    ["teleport", "--alpha", "nan"],
+    ["teleport", "--eta", "nan"],
+    ["teleport", "--kappa1-re", "inf"],
+    ["figures", "fig2", "--eta-range", "0", "nan", "3"],
+    ["figures", "fig1", "--alpha-range", "0", "inf", "3"],
+])
+def test_non_finite_input_is_a_usage_error(capsys, argv):
+    assert _exit_code(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_fig2_rejects_eta_above_one(capsys):
+    # teleported_fidelity_exact printed the "fidelity" 6.30527633 at eta = 1.5
+    argv = ["figures", "fig2", "--alpha-range", "0.5", "0.6", "2", "--eta-range", "0", "1.5", "2"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: eta must lie in [0, 1]" in captured.err
+
+
+def test_teleport_footer_has_no_rejected_variant(capsys):
+    code, _, footer, _ = _teleport_table(capsys, ["--m", "3", "--alpha", "1"])
+    assert code == 0
+    assert "closed_form_even_aggregate_unsquared_variant" not in footer
+    assert "closed_form_even_aggregate_squared" in footer

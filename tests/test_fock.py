@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ecs_teleport import fock
-from ecs_teleport.algebra import UnsupportedStructureError, beam_splitter, superposition
+from ecs_teleport.algebra import CoherentState, UnsupportedStructureError, beam_splitter, superposition
 from ecs_teleport.channels import ChannelSpec, build_channel, schmidt_coefficients
 from conftest import random_state
 
@@ -27,7 +27,7 @@ def test_encode_unit_amplitude_two_photon_coefficient():
 def test_encode_two_branch_norm_deficit():
     psi = superposition([(1.0, (1.0, 1.0)), (1.0, (-1.0, -1.0))])
     nrm = math.sqrt(2.0 * (1.0 + math.exp(-4.0)))
-    v = fock.encode(psi.scaled(1.0 / nrm), 30)
+    v = fock.encode(CoherentState(psi.labels, psi.coeffs / nrm), 30)
     assert abs(v.norm() - 1.0) < 1e-10
 
 
