@@ -49,7 +49,7 @@ from .noise import (
 from .teleport import (
     ProtocolOutcome,
     ProtocolReport,
-    bob_correction,
+    bob_state,
     enumerate_outcomes,
     fold_network,
     run_protocol,

@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--kappa2-re", type=_finite_float, default=1 / math.sqrt(2))
             p.add_argument("--kappa2-im", type=_finite_float, default=0.0)
         if engine:
-            p.add_argument("--engine", choices=("closed_form", "coherent", "oracle", "all"),
+            p.add_argument("--engine", choices=("closed_form", "coherent", "all"),
                            default="coherent")
 
     p_info = sub.add_parser("channel-info", help="channel normalization and concurrences")
@@ -149,7 +149,8 @@ def _teleport_rows(args, m: int):
         raise ValueError(
             f"outcome table needs photon counts up to {n_max} (limit {MAX_N_MAX}); lower m or alpha"
         )
-    if args.eta >= 1.0:
+    # eta > 1 must reach teleport_through_noise, whose range check makes it a usage error
+    if args.eta == 1.0:
         report = run_protocol(m, args.alpha, k1, k2, args.sign, n_max=n_max)
     else:
         report = teleport_through_noise(m, args.alpha, args.eta, k1, k2, args.sign, n_max=n_max)
@@ -194,8 +195,7 @@ def cmd_teleport(args) -> int:
     m = 3 if args.m is None else args.m
     report, k1, k2 = _teleport_rows(args, m)
     engine = args.engine
-    oracle_table = None
-    if engine in ("oracle", "all"):
+    if engine == "all":
         if args.eta < 1.0:
             raise ValueError("the oracle engine covers noiseless runs only")
         oracle_table = _oracle_outcomes(m, args.alpha, k1, k2, args.sign, 20)
@@ -215,7 +215,7 @@ def cmd_teleport(args) -> int:
             row = [str(o.l), str(o.n), _fmt(o.probability), o.correction, _fmt(o.fidelity)]
         if engine == "all":
             dev = ""
-            if oracle_table is not None and (o.l, o.n) in oracle_table:
+            if (o.l, o.n) in oracle_table:
                 dev = _fmt(abs(o.probability - oracle_table[(o.l, o.n)]))
             row.append(dev)
         rows.append(",".join(row))

@@ -9,15 +9,16 @@ pair (mode m-1, mode m).  Bob holds modes m+1..2m.
 
 `enumerate_outcomes` computes the whole outcome table in one vectorized pass
 over the folded label array: Bob's Gram matrix and the reference overlaps do
-not depend on the record, so every (l, n) probability, corrected state and
-fidelity follows from one matrix of measured-mode number amplitudes.
+not depend on the record, so every (l, n) probability and fidelity follows
+from one matrix of measured-mode number amplitudes.  `bob_state` builds
+Bob's corrected state for one record on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .algebra import (
     normalized,
     number_amplitudes,
     phase_shift_pi,
+    project_photon_number,
     tensor,
 )
 from .channels import ChannelSpec, build_channel, build_input
@@ -46,17 +48,16 @@ CORRECTIONS = ("none", "phase_only", "sign_only", "phase_plus_sign")
 PROB_FLOOR = 1e-30
 
 
-@dataclass(frozen=True)
-class ProtocolOutcome:
+class ProtocolOutcome(NamedTuple):
     """One measurement record: l photons on the folded input mode, n on the
-    first channel mode, Bob's (corrected) conditional state and its fidelity."""
+    first channel mode, the correction Bob applies and the fidelity of his
+    corrected state; `bob_state` gives that state on demand."""
 
     l: int
     n: int
     probability: float
-    bob_state: CoherentState
-    correction: str = "none"
-    fidelity: float = float("nan")
+    correction: str
+    fidelity: float
 
     @property
     def is_success(self) -> bool:
@@ -156,27 +157,25 @@ def _branch_signs(amps: np.ndarray, plus: np.ndarray) -> np.ndarray:
     return np.where(on_plus, 1.0, -1.0)
 
 
-def bob_correction(
-    outcome: ProtocolOutcome,
-    channel_sign: str,
-    m: int,
-    plus_amps: Optional[tuple[complex, ...]] = None,
-) -> CoherentState:
-    """Apply the classical-communication correction to Bob's conditional state.
+def bob_state(folded: CoherentState, m: int, l: int, n: int, sign: str = "minus") -> CoherentState:
+    """Bob's corrected conditional state after the record (l, n) of a folded state.
 
-    The sign flip |+branch> -> |+branch>, |-branch> -> -|-branch> is not
-    unitary on non-orthogonal branches, so the flipped state is renormalized.
+    Projects mode m onto n photons and mode m-1 onto l, drops the m-1 emptied
+    input modes, normalizes, then applies `correction_for(l, n, sign)`.  The
+    sign flip |+branch> -> |+branch>, |-branch> -> -|-branch> is not unitary
+    on non-orthogonal branches, so the flipped state is renormalized.
     """
-    what = correction_for(outcome.l, outcome.n, channel_sign)
-    state = outcome.bob_state
+    state, _ = project_photon_number(folded, m, n)
+    state, _ = project_photon_number(state, m - 1, l)
+    for _ in range(m - 1):
+        state, _ = project_photon_number(state, 0, 0)
+    state = normalized(state)
+    what = correction_for(l, n, sign)
     if what in ("phase_only", "phase_plus_sign"):
         state = phase_shift_pi(state, range(m))
     if what in ("sign_only", "phase_plus_sign"):
-        if plus_amps is None:
-            plus = _default_plus_amps(state.labels)
-        else:
-            plus = np.asarray(plus_amps, dtype=complex)
-        state = normalized(state.weighted(_branch_signs(state.labels, plus)))
+        signs = _branch_signs(state.labels, _default_plus_amps(state.labels))
+        state = normalized(state.weighted(signs))
     return state
 
 
@@ -191,12 +190,14 @@ def enumerate_outcomes(
 
     Outcomes with both counts nonzero carry exactly zero probability because
     every branch of the folded state is exactly vacuum on one measured mode.
-    Records below PROB_FLOOR are dropped.  Bob's conditional states are
-    normalized, pure when `folded` is; when `reference` is given each outcome
-    is corrected and scored against it.  `success_probability` sums every
-    outcome except (0, 0), whose conditional state is a branch mixture the
-    protocol cannot repair; `mean_fidelity` is the probability-weighted
-    fidelity over those success outcomes.
+    Records below PROB_FLOOR are dropped.  When `reference` is given each
+    outcome gets its correction and the fidelity of Bob's corrected state to
+    the reference; otherwise the correction reads "none" and the fidelity
+    nan.  `success_probability` sums every outcome except (0, 0), whose
+    conditional state is a branch mixture the protocol cannot repair;
+    `mean_fidelity` is the probability-weighted fidelity over those success
+    outcomes.  The table holds numbers only: `bob_state` builds Bob's state
+    for any record.
 
     Pure and operator states share one vectorized pass.  With C the folded
     coefficient matrix (c c^H for a pure state), f[r, t] = <l_r|a_t,m-1>
@@ -205,7 +206,7 @@ def enumerate_outcomes(
     probability is tr((C o f f^H) G).  Each correction negates every label or
     none and flips the sign of the -branch or not, so one overlap vector
     between the reference and the corrected labels scores all records of
-    that correction at once, and those records share one label array.
+    that correction at once.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -221,52 +222,33 @@ def enumerate_outcomes(
     f = number_amplitudes(amps[:, m - 1], n_max)[ls] * number_amplitudes(amps[:, m], n_max)[ns]
     probs = _quadratic_forms(f, coeffs * bob_gram.T)
     kept = np.flatnonzero(probs >= PROB_FLOOR)
-    f, probs = f[kept], probs[kept]
-    corrections = [
-        correction_for(int(ls[r]), int(ns[r]), sign) if reference is not None else "none"
-        for r in kept
-    ]
+    ls, ns, f, probs = ls[kept].tolist(), ns[kept].tolist(), f[kept], probs[kept]
 
-    merge = (index[None, :] == np.arange(len(reps))[:, None]).astype(complex)
-    if folded.is_pure:
-        states = (f * folded.coeffs) @ merge.T
-    else:
-        states = np.einsum("js,rs,st,rt,kt->rjk", merge, f, coeffs, f.conj(), merge)
+    corrections = ["none"] * len(kept)
     fidelity = np.full(len(kept), np.nan)
-    class_labels = {}
-    for what in dict.fromkeys(corrections):
-        rows = np.flatnonzero(np.array(corrections) == what)
-        corrected = -bob if what in ("phase_only", "phase_plus_sign") else bob
-        signs = np.ones(len(reps))
-        norms = probs[rows]
-        if what in ("sign_only", "phase_plus_sign"):
-            signs = _branch_signs(corrected, _default_plus_amps(corrected))
-            flip = signs[index]
-            norms = _quadratic_forms(f[rows], coeffs * bob_gram.T * np.outer(flip, flip))
-        if folded.is_pure:
-            states[rows] *= signs / np.sqrt(norms)[:, None]
-        else:
-            states[rows] *= np.outer(signs, signs) / norms[:, None, None]
-        if reference is not None:
+    if reference is not None:
+        corrections = [correction_for(l, n, sign) for l, n in zip(ls, ns)]
+        classes = np.array(corrections)
+        for what in dict.fromkeys(corrections):
+            rows = np.flatnonzero(classes == what)
+            corrected = -bob if what in ("phase_only", "phase_plus_sign") else bob
+            signs = np.ones(len(reps))
+            norms = probs[rows]
+            if what in ("sign_only", "phase_plus_sign"):
+                signs = _branch_signs(corrected, _default_plus_amps(corrected))
+                flip = signs[index]
+                norms = _quadratic_forms(f[rows], coeffs * bob_gram.T * np.outer(flip, flip))
             overlaps = (reference.coeffs.conj() @ gram(reference.labels, corrected)) * signs
             fidelity[rows] = _quadratic_forms(f[rows] * overlaps[index], coeffs) / norms
-        class_labels[what] = corrected
 
-    outcomes = [
-        ProtocolOutcome(
-            l=int(ls[r]), n=int(ns[r]), probability=float(probs[i]),
-            bob_state=CoherentState(class_labels[corrections[i]], states[i]),
-            correction=corrections[i], fidelity=float(fidelity[i]),
-        )
-        for i, r in enumerate(kept)
-    ]
+    outcomes = tuple(map(ProtocolOutcome, ls, ns, probs.tolist(), corrections, fidelity.tolist()))
     succ = [o for o in outcomes if o.is_success]
     p_succ = sum(o.probability for o in succ)
     if reference is not None and p_succ > 0:
         mean_f = sum(o.probability * o.fidelity for o in succ) / p_succ
     else:
         mean_f = float("nan")
-    return ProtocolReport(tuple(outcomes), p_succ, mean_f)
+    return ProtocolReport(outcomes, p_succ, mean_f)
 
 
 def run_protocol(

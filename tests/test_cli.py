@@ -107,3 +107,34 @@ def test_teleport_footer_has_no_rejected_variant(capsys):
     assert code == 0
     assert "closed_form_even_aggregate_unsquared_variant" not in footer
     assert "closed_form_even_aggregate_squared" in footer
+
+
+@pytest.mark.parametrize("engine", ("coherent", "closed_form", "all"))
+def test_teleport_rejects_eta_above_one(capsys, engine):
+    # eta >= 1 ran the lossless protocol and printed mean_fidelity 1
+    argv = ["teleport", "--m", "2", "--alpha", "1", "--eta", "1.5", "--engine", engine]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: eta must lie in [0, 1]" in captured.err
+
+
+def test_teleport_engine_oracle_is_removed(capsys):
+    # its table duplicated --engine coherent; --engine all prints the Fock deviations
+    argv = ["teleport", "--m", "2", "--alpha", "0.8", "--engine", "oracle"]
+    assert _exit_code(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'oracle'" in captured.err
+
+
+def test_teleport_engine_all_agrees_with_the_fock_engine(capsys):
+    code = cli.main(["teleport", "--m", "1", "--alpha", "1.5", "--engine", "all"])
+    lines = capsys.readouterr().out.splitlines()
+    column = lines[0].split(",").index("engine_disagreement")
+    devs = [float(line.split(",")[column]) for line in lines[1:] if line.split(",")[column]]
+    assert code == 0 and devs
+    assert max(devs) <= 1e-6
+
+
+def test_verify_passes(capsys):
+    assert cli.main(["verify", "--trials", "12"]) == 0
+    assert "all suites passed" in capsys.readouterr().out

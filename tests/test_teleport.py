@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecs_teleport import fock
-from ecs_teleport.algebra import fidelity, normalized, project_photon_number, tensor
+from ecs_teleport.algebra import fidelity, project_photon_number, tensor
 from ecs_teleport.channels import ChannelSpec, build_channel, build_input
 from ecs_teleport.noise import (
     channel_fidelity,
@@ -19,8 +19,7 @@ from ecs_teleport.noise import (
 )
 from ecs_teleport.teleport import (
     PROB_FLOOR,
-    ProtocolOutcome,
-    bob_correction,
+    bob_state,
     correction_for,
     default_n_max,
     enumerate_outcomes,
@@ -268,6 +267,7 @@ def _fock_outcome_table(m, alpha, k1, k2, sign, n_top):
 def test_outcome_tables_agree_with_fock_engine(m, alpha):
     k1, k2 = 0.8, -0.35 + 0.45j
     rep = run_protocol(m, alpha, k1, k2, "minus", n_max=6)
+    folded = fold_network(_joint(m, alpha, k1, k2, "minus"), m)
     table, cuts = _fock_outcome_table(m, alpha, k1, k2, "minus", 6)
     for o in rep.outcomes:
         if (o.l, o.n) not in table:
@@ -277,7 +277,7 @@ def test_outcome_tables_agree_with_fock_engine(m, alpha):
         if o.probability > 1e-8 and o.correction in ("none", "phase_only"):
             # encode the engine's corrected Bob state and compare the collapse
             bob_cuts = cuts[m + 1 :]
-            bob_ref = fock.encode(o.bob_state, [c for c in bob_cuts])
+            bob_ref = fock.encode(bob_state(folded, m, o.l, o.n, "minus"), bob_cuts)
             collapsed = reduced.data
             # strip the m-1 leading vacuum modes
             for _ in range(m - 1):
@@ -308,26 +308,18 @@ def _folded(m, alpha, eta, k1, k2, sign):
 
 
 def _reference_table(folded, m, n_max, sign, reference):
-    """(l, n) -> (probability, correction, corrected Bob state, fidelity), one
-    projection chain per record through the algebra primitives."""
+    """(l, n) -> (probability, correction, fidelity), one projection chain per
+    record through the algebra primitives; the fidelity scores `bob_state`."""
     records = [(0, n) for n in range(n_max + 1)] + [(l, 0) for l in range(1, n_max + 1)]
     table = {}
     for l, n in records:
         state, _ = project_photon_number(folded, m, n)
-        state, prob = project_photon_number(state, m - 1, l)
+        _, prob = project_photon_number(state, m - 1, l)
         if prob < PROB_FLOOR:
             continue
-        for _ in range(m - 1):
-            state, _ = project_photon_number(state, 0, 0)
-        corrected = bob_correction(ProtocolOutcome(l, n, prob, normalized(state)), sign, m)
-        table[(l, n)] = (prob, correction_for(l, n, sign), corrected,
-                         fidelity(reference, corrected))
+        table[(l, n)] = (prob, correction_for(l, n, sign),
+                         fidelity(reference, bob_state(folded, m, l, n, sign)))
     return table
-
-
-def _mutual_fidelity(a, b):
-    """tr(a b) / sqrt(tr(a^2) tr(b^2)); 1 exactly when the two states coincide."""
-    return fidelity(a, b) / math.sqrt(fidelity(a, a) * fidelity(b, b))
 
 
 @pytest.mark.parametrize("eta", (1.0, 0.3, 0.9))
@@ -340,33 +332,20 @@ def test_kernel_matches_per_record_reference(m, sign, eta):
     table = _reference_table(folded, m, n_max, sign, inp)
     assert [(o.l, o.n) for o in report.outcomes] == sorted(table)
     for o in report.outcomes:
-        prob, correction, state, fid = table[(o.l, o.n)]
+        prob, correction, fid = table[(o.l, o.n)]
         assert o.correction == correction
-        assert o.bob_state.is_pure == state.is_pure == (eta == 1.0)
         assert abs(o.probability - prob) < 1e-12
         assert abs(o.fidelity - fid) < 1e-12
-        assert abs(_mutual_fidelity(o.bob_state, state) - 1.0) < 1e-12
-
-
-@pytest.mark.parametrize("eta", (1.0, 0.6))
-def test_kernel_records_of_one_correction_share_labels(eta):
-    folded, inp = _folded(3, 0.9, eta, 0.8, -0.35 + 0.45j, "minus")
-    report = enumerate_outcomes(folded, 3, 12, sign="minus", reference=inp)
-    first = {}
-    for o in report.outcomes:
-        labels = first.setdefault(o.correction, o.bob_state.labels)
-        assert o.bob_state.labels is labels
-    assert len(first) == 4
 
 
 def test_kernel_without_reference_leaves_states_uncorrected():
     folded, inp = _folded(2, 0.9, 1.0, 0.6, 0.8j, "minus")
     report = enumerate_outcomes(folded, 2, 10)
     table = _reference_table(folded, 2, 10, "minus", inp)
+    assert [(o.l, o.n) for o in report.outcomes] == sorted(table)
     for o in report.outcomes:
         assert o.correction == "none" and math.isnan(o.fidelity)
-        if table[(o.l, o.n)][1] == "none":
-            assert abs(_mutual_fidelity(o.bob_state, table[(o.l, o.n)][2]) - 1.0) < 1e-12
+        assert abs(o.probability - table[(o.l, o.n)][0]) < 1e-12
     assert math.isnan(report.mean_fidelity)
 
 
@@ -393,6 +372,21 @@ def test_outcome_mass_is_complete(k1, k2, m, alpha, eta):
     else:
         report = teleport_through_noise(m, alpha, eta, k1, k2, "minus")
     assert abs(report.total_probability - 1.0) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=kappas, k1=kappas, k2=kappas, m=st.integers(1, 6), alpha=st.floats(0.3, 2.0),
+       eta=st.floats(0.2, 1.0, exclude_max=True))
+def test_engine_meets_closed_forms(c, k1, k2, m, alpha, eta):
+    # odd-cat input: the lossy mean fidelity has an exact closed form
+    lossy = teleport_through_noise(m, alpha, eta, c, -c, "minus")
+    assert abs(lossy.mean_fidelity - teleported_fidelity_exact(m, alpha, eta)) < 1e-9
+    # lossless minus channel: odd-count probabilities are input-independent closed forms
+    for o in run_protocol(m, alpha, k1, k2, "minus").outcomes:
+        count = o.l + o.n
+        if count % 2 == 1:
+            expected = success_probability_closed_form(m, alpha, "odd", count)
+            assert abs(o.probability - expected) < 1e-9
 
 
 @settings(max_examples=200, deadline=None)
