@@ -43,7 +43,6 @@ from .noise import (
     LossModel,
     apply_loss,
     channel_fidelity,
-    teleport_through_noise,
     teleported_fidelity_exact,
 )
 from .teleport import (
@@ -54,6 +53,7 @@ from .teleport import (
     fold_network,
     run_protocol,
     success_probability_closed_form,
+    teleport_through_noise,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .channels import (
     concurrence_closed_form,
     norm_constant,
 )
-from .noise import teleport_through_noise, teleported_fidelity_exact, channel_fidelity
+from .noise import channel_fidelity, teleported_fidelity_exact
 from .teleport import default_n_max, run_protocol, success_probability_closed_form
 
 USAGE_ERROR = 1
@@ -37,6 +37,10 @@ MAX_N_MAX = 200_000
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: "figures --alpha 0 1 3" must not pass as --alpha-range
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits with 2 on usage errors by default; this CLI reserves 2
     # for verification failures
     def error(self, message):
@@ -72,35 +76,32 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ecs-teleport", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eta=False, kappas=False, engine=False):
+    def model(p):
         p.add_argument("--m", type=int, default=None, help="number of teleported modes")
         p.add_argument("--alpha", type=_finite_float, default=1.0, help="coherent amplitude")
-        p.add_argument("--alpha-range", nargs=3, metavar=("A", "B", "N"), default=None,
-                       help="sweep alpha over N points in [A, B]")
         p.add_argument("--sign", choices=("plus", "minus"), default="minus")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if eta:
-            p.add_argument("--eta", type=_finite_float, default=1.0, help="loss transmissivity")
-            p.add_argument("--eta-range", nargs=3, metavar=("A", "B", "N"), default=None)
-        if kappas:
-            p.add_argument("--kappa1-re", type=_finite_float, default=1 / math.sqrt(2))
-            p.add_argument("--kappa1-im", type=_finite_float, default=0.0)
-            p.add_argument("--kappa2-re", type=_finite_float, default=1 / math.sqrt(2))
-            p.add_argument("--kappa2-im", type=_finite_float, default=0.0)
-        if engine:
-            p.add_argument("--engine", choices=("closed_form", "coherent", "all"),
-                           default="coherent")
 
     p_info = sub.add_parser("channel-info", help="channel normalization and concurrences")
-    common(p_info)
+    model(p_info)
 
     p_tel = sub.add_parser("teleport", help="run the protocol, emit per-outcome CSV")
-    common(p_tel, eta=True, kappas=True, engine=True)
+    model(p_tel)
+    p_tel.add_argument("--eta", type=_finite_float, default=1.0, help="loss transmissivity")
+    p_tel.add_argument("--kappa1-re", type=_finite_float, default=1 / math.sqrt(2))
+    p_tel.add_argument("--kappa1-im", type=_finite_float, default=0.0)
+    p_tel.add_argument("--kappa2-re", type=_finite_float, default=1 / math.sqrt(2))
+    p_tel.add_argument("--kappa2-im", type=_finite_float, default=0.0)
+    p_tel.add_argument("--engine", choices=("closed_form", "coherent", "all"), default="coherent")
 
     p_fig = sub.add_parser("figures", help="emit the (alpha, eta) fidelity grids as CSV")
     p_fig.add_argument("which", choices=("fig1", "fig2", "fig3", "fig4"))
-    common(p_fig, eta=True)
+    p_fig.add_argument("--m", type=int, default=None, help="number of teleported modes")
+    p_fig.add_argument("--alpha-range", nargs=3, metavar=("A", "B", "N"), default=None,
+                       help="sweep alpha over N points in [A, B]")
+    p_fig.add_argument("--eta-range", nargs=3, metavar=("A", "B", "N"), default=None,
+                       help="sweep eta over N points in [A, B]")
+    p_fig.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_ver = sub.add_parser("verify", help="run the self-verification suites")
     p_ver.add_argument("--seed", type=int, default=0)
@@ -149,11 +150,7 @@ def _teleport_rows(args, m: int):
         raise ValueError(
             f"outcome table needs photon counts up to {n_max} (limit {MAX_N_MAX}); lower m or alpha"
         )
-    # eta > 1 must reach teleport_through_noise, whose range check makes it a usage error
-    if args.eta == 1.0:
-        report = run_protocol(m, args.alpha, k1, k2, args.sign, n_max=n_max)
-    else:
-        report = teleport_through_noise(m, args.alpha, args.eta, k1, k2, args.sign, n_max=n_max)
+    report = run_protocol(m, args.alpha, k1, k2, args.sign, n_max=n_max, eta=args.eta)
     return report, k1, k2
 
 
@@ -294,7 +291,7 @@ def cmd_figures(args) -> int:
     for a in alphas:
         for e in etas:
             if args.which == "fig1":
-                v = channel_fidelity(a, e, m=3 if args.m is None else m)
+                v = channel_fidelity(a, e, m=m)
             else:
                 v = teleported_fidelity_exact(m, a, e)
             lines.append(f"{_fmt(a)},{_fmt(e)},{_fmt(v)}")

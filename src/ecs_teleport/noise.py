@@ -1,10 +1,12 @@
-"""Photon-absorption loss channel and teleportation through a lossy channel.
+"""Photon-absorption loss channel and the closed forms of its fidelities.
 
 Loss with transmissivity eta couples each mode to a vacuum environment via a
 beam splitter, |g>|0>_E -> |sqrt(eta) g>|sqrt(1-eta) g>_E, and traces the
 environment.  On a coherent-label state this scales every label amplitude by
 sqrt(eta) and damps the (j, k) coefficient by the environment overlap
-prod_m <sqrt(1-eta) g_k,m | sqrt(1-eta) g_j,m>, all in closed form.
+prod_m <sqrt(1-eta) g_k,m | sqrt(1-eta) g_j,m>, all in closed form.  The
+protocol driver, `teleport.run_protocol`, sends its channel through
+`lossy_channel_operator`.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .algebra import MIN_AMPLITUDE, CoherentState, check_modes, tensor, trace_out
-from .channels import ChannelSpec, build_channel, build_input
-from .teleport import ProtocolReport, default_n_max, enumerate_outcomes, fold_network
+from .algebra import CoherentState, check_modes, trace_out
+from .channels import ChannelSpec, build_channel
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,8 @@ def channel_fidelity(alpha: complex, eta: float, m: int = 3) -> float:
     F = 1/2 identically at eta = 1/2, and F tends to eta as alpha -> 0, the
     value returned at alpha = 0.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     z = (2.0 ** (m + 1)) * abs(alpha) ** 2
@@ -77,39 +80,6 @@ def lossy_channel_operator(m: int, alpha: complex, eta: float, sign: str = "minu
     """The channel state after per-mode loss, as a unit-trace operator."""
     chan = build_channel(ChannelSpec(m=m, alpha=alpha, sign=sign))
     return apply_loss(chan, LossModel(eta))
-
-
-def teleport_through_noise(
-    m: int,
-    alpha: complex,
-    eta: float,
-    kappa1: complex,
-    kappa2: complex,
-    sign: str = "minus",
-    n_max: Optional[int] = None,
-) -> ProtocolReport:
-    """Run the protocol over a channel that suffered photon loss.
-
-    The partners know the transmissivity, so Alice prepares her input at the
-    transmitted amplitude sqrt(eta) alpha; the fold network then empties the
-    same modes as in the lossless run and the outcome bookkeeping is
-    unchanged.  Per-outcome fidelities are scored against that input.  Only
-    this matched-amplitude reading keeps the protocol's postselection
-    structure intact; an input at the bare amplitude would interfere
-    imperfectly and leak probability into mixed (l>0, n>0) records.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    beta = math.sqrt(eta) * alpha
-    if abs(beta) < MIN_AMPLITUDE:
-        raise ValueError("sqrt(eta) * |alpha| too small; the protocol degenerates")
-    inp = build_input(m, beta, kappa1, kappa2)
-    rho_pe = lossy_channel_operator(m, alpha, eta, sign)
-    joint = tensor(inp, rho_pe)
-    folded = fold_network(joint, m)
-    if n_max is None:
-        n_max = default_n_max(m, beta)
-    return enumerate_outcomes(folded, m, n_max, sign=sign, reference=inp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Teleportation protocol engine: fold network, joint photon-number
-measurement, classical correction, and closed-form success probabilities.
+"""Teleportation protocol: fold network, joint photon-number measurement,
+classical correction, and closed-form success probabilities.
 
 Global mode convention: the joint system carries the m input modes first
 (0..m-1) and the m+1 channel modes after (m..2m).  The fold network cascades
@@ -7,11 +7,14 @@ Global mode convention: the joint system carries the m input modes first
 input modes 0..m-2 exactly and concentrates the interference on the measured
 pair (mode m-1, mode m).  Bob holds modes m+1..2m.
 
-`enumerate_outcomes` computes the whole outcome table in one vectorized pass
-over the folded label array: Bob's Gram matrix and the reference overlaps do
-not depend on the record, so every (l, n) probability and fidelity follows
-from one matrix of measured-mode number amplitudes.  `bob_state` builds
-Bob's corrected state for one record on demand.
+`run_protocol` is the one protocol driver.  The channel always passes
+through photon loss of transmissivity eta; the lossless protocol is its
+eta = 1 run, where the loss is the identity.  `enumerate_outcomes` computes
+the whole outcome table in one vectorized pass over the folded label array:
+Bob's Gram matrix and the reference overlaps do not depend on the record, so
+every (l, n) probability and fidelity follows from one matrix of
+measured-mode number amplitudes.  `bob_state` builds Bob's corrected state
+for one record on demand.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import (
+    MIN_AMPLITUDE,
     CoherentState,
     UnsupportedStructureError,
     beam_splitter,
@@ -34,8 +38,9 @@ from .algebra import (
     project_photon_number,
     tensor,
 )
-from .channels import ChannelSpec, build_channel, build_input
+from .channels import build_input
 from .fock import default_cutoff
+from .noise import lossy_channel_operator
 
 # Corrections Bob may apply after hearing (l, n):
 #   none            outcome already carries the input
@@ -184,16 +189,16 @@ def enumerate_outcomes(
     m: int,
     n_max: int,
     sign: str = "minus",
-    reference: Optional[CoherentState] = None,
+    *,
+    reference: CoherentState,
 ) -> ProtocolReport:
     """Enumerate the (l=0, n) and (l, n=0) measurement records of a folded state.
 
     Outcomes with both counts nonzero carry exactly zero probability because
     every branch of the folded state is exactly vacuum on one measured mode.
-    Records below PROB_FLOOR are dropped.  When `reference` is given each
-    outcome gets its correction and the fidelity of Bob's corrected state to
-    the reference; otherwise the correction reads "none" and the fidelity
-    nan.  `success_probability` sums every outcome except (0, 0), whose
+    Records below PROB_FLOOR are dropped.  Each outcome gets its correction
+    and the fidelity of Bob's corrected state to the pure `reference`.
+    `success_probability` sums every outcome except (0, 0), whose
     conditional state is a branch mixture the protocol cannot repair;
     `mean_fidelity` is the probability-weighted fidelity over those success
     outcomes.  The table holds numbers only: `bob_state` builds Bob's state
@@ -224,30 +229,25 @@ def enumerate_outcomes(
     kept = np.flatnonzero(probs >= PROB_FLOOR)
     ls, ns, f, probs = ls[kept].tolist(), ns[kept].tolist(), f[kept], probs[kept]
 
-    corrections = ["none"] * len(kept)
-    fidelity = np.full(len(kept), np.nan)
-    if reference is not None:
-        corrections = [correction_for(l, n, sign) for l, n in zip(ls, ns)]
-        classes = np.array(corrections)
-        for what in dict.fromkeys(corrections):
-            rows = np.flatnonzero(classes == what)
-            corrected = -bob if what in ("phase_only", "phase_plus_sign") else bob
-            signs = np.ones(len(reps))
-            norms = probs[rows]
-            if what in ("sign_only", "phase_plus_sign"):
-                signs = _branch_signs(corrected, _default_plus_amps(corrected))
-                flip = signs[index]
-                norms = _quadratic_forms(f[rows], coeffs * bob_gram.T * np.outer(flip, flip))
-            overlaps = (reference.coeffs.conj() @ gram(reference.labels, corrected)) * signs
-            fidelity[rows] = _quadratic_forms(f[rows] * overlaps[index], coeffs) / norms
+    corrections = [correction_for(l, n, sign) for l, n in zip(ls, ns)]
+    classes = np.array(corrections)
+    fidelity = np.empty(len(kept))
+    for what in dict.fromkeys(corrections):
+        rows = np.flatnonzero(classes == what)
+        corrected = -bob if what in ("phase_only", "phase_plus_sign") else bob
+        signs = np.ones(len(reps))
+        norms = probs[rows]
+        if what in ("sign_only", "phase_plus_sign"):
+            signs = _branch_signs(corrected, _default_plus_amps(corrected))
+            flip = signs[index]
+            norms = _quadratic_forms(f[rows], coeffs * bob_gram.T * np.outer(flip, flip))
+        overlaps = (reference.coeffs.conj() @ gram(reference.labels, corrected)) * signs
+        fidelity[rows] = _quadratic_forms(f[rows] * overlaps[index], coeffs) / norms
 
     outcomes = tuple(map(ProtocolOutcome, ls, ns, probs.tolist(), corrections, fidelity.tolist()))
     succ = [o for o in outcomes if o.is_success]
     p_succ = sum(o.probability for o in succ)
-    if reference is not None and p_succ > 0:
-        mean_f = sum(o.probability * o.fidelity for o in succ) / p_succ
-    else:
-        mean_f = float("nan")
+    mean_f = sum(o.probability * o.fidelity for o in succ) / p_succ if p_succ > 0 else float("nan")
     return ProtocolReport(outcomes, p_succ, mean_f)
 
 
@@ -258,20 +258,46 @@ def run_protocol(
     kappa2: complex,
     sign: str = "minus",
     n_max: Optional[int] = None,
+    eta: float = 1.0,
 ) -> ProtocolReport:
-    """Noiseless protocol: build, fold, measure, correct, score.
+    """Run the protocol over a channel with transmissivity eta: build, lose,
+    fold, measure, correct, score.
 
-    Every corrected success outcome reproduces the input state exactly (for
-    the minus channel; the plus channel via the swapped parity rules).
+    The partners know the transmissivity, so Alice prepares her input at the
+    transmitted amplitude sqrt(eta) alpha; the fold network then empties the
+    same modes at every eta and the outcome bookkeeping is unchanged.
+    Per-outcome fidelities are scored against that input.  Only this
+    matched-amplitude reading keeps the protocol's postselection structure
+    intact; an input at the bare amplitude would interfere imperfectly and
+    leak probability into mixed (l>0, n>0) records.  At eta = 1 the loss is
+    the identity and every corrected success outcome reproduces the input
+    exactly (for the minus channel; the plus channel via the swapped parity
+    rules).
     """
-    spec = ChannelSpec(m=m, alpha=alpha, sign=sign)
-    inp = build_input(m, alpha, kappa1, kappa2)
-    chan = build_channel(spec)
-    joint = tensor(inp, chan)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    beta = math.sqrt(eta) * alpha
+    if abs(beta) < MIN_AMPLITUDE:
+        raise ValueError("sqrt(eta) * |alpha| too small; the protocol degenerates")
+    inp = build_input(m, beta, kappa1, kappa2)
+    joint = tensor(inp, lossy_channel_operator(m, alpha, eta, sign))
     folded = fold_network(joint, m)
     if n_max is None:
-        n_max = default_n_max(m, alpha)
+        n_max = default_n_max(m, beta)
     return enumerate_outcomes(folded, m, n_max, sign=sign, reference=inp)
+
+
+def teleport_through_noise(
+    m: int,
+    alpha: complex,
+    eta: float,
+    kappa1: complex,
+    kappa2: complex,
+    sign: str = "minus",
+    n_max: Optional[int] = None,
+) -> ProtocolReport:
+    """`run_protocol` with the transmissivity as the third argument."""
+    return run_protocol(m, alpha, kappa1, kappa2, sign, n_max, eta)
 
 
 # ---------------------------------------------------------------------------

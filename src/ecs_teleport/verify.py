@@ -31,10 +31,9 @@ from .channels import (
 from .noise import (
     channel_fidelity,
     lossy_channel_operator,
-    teleport_through_noise,
     teleported_fidelity_exact,
 )
-from .teleport import run_protocol, success_probability_closed_form
+from .teleport import run_protocol, success_probability_closed_form, teleport_through_noise
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,35 @@ def test_non_finite_input_is_a_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["channel-info", "--seed", "1"],
+    ["teleport", "--seed", "1"],
+    ["figures", "fig1", "--seed", "1"],
+    ["channel-info", "--alpha-range", "0.5", "2", "4"],
+    ["teleport", "--m", "2", "--alpha-range", "0.5", "2", "4"],
+    ["teleport", "--eta-range", "0", "1", "3"],
+    ["figures", "fig2", "--alpha", "5"],
+    ["figures", "fig2", "--eta", "0.1"],
+    ["figures", "fig2", "--sign", "plus"],
+    # option prefixes are no abbreviations of --alpha-range / --eta-range
+    ["figures", "fig2", "--alpha", "0.5", "1", "3"],
+    ["figures", "fig2", "--eta", "0", "1", "3"],
+])
+def test_options_no_subcommand_reads_are_usage_errors(capsys, argv):
+    # these were accepted and ignored: the output did not follow them
+    assert _exit_code(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_fig1_rejects_m_below_one(capsys):
+    # fig2 --m 0 was a usage error while fig1 --m 0 printed a grid
+    assert cli.main(["figures", "fig1", "--m", "0"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: m must be >= 1" in captured.err
+
+
 def test_fig2_rejects_eta_above_one(capsys):
     # teleported_fidelity_exact printed the "fidelity" 6.30527633 at eta = 1.5
     argv = ["figures", "fig2", "--alpha-range", "0.5", "0.6", "2", "--eta-range", "0", "1.5", "2"]

@@ -8,17 +8,22 @@ import numpy as np
 import pytest
 
 from ecs_teleport import fock
-from ecs_teleport.algebra import fidelity, superposition
-from ecs_teleport.channels import ChannelSpec, build_channel
+from ecs_teleport.algebra import fidelity, superposition, tensor
+from ecs_teleport.channels import ChannelSpec, build_channel, build_input
 from ecs_teleport.noise import (
     LossModel,
     apply_loss,
     channel_fidelity,
     lossy_channel_operator,
-    teleport_through_noise,
     teleported_fidelity_exact,
 )
-from ecs_teleport.teleport import run_protocol
+from ecs_teleport.teleport import (
+    default_n_max,
+    enumerate_outcomes,
+    fold_network,
+    run_protocol,
+    teleport_through_noise,
+)
 from ecs_teleport.verify import adjudicate_teleported_fidelity, teleported_fidelity_closed_form
 from conftest import random_state
 
@@ -134,20 +139,31 @@ def test_channel_fidelity_domain_errors():
         assert channel_fidelity(0.0, eta) == eta
     with pytest.raises(ValueError):
         channel_fidelity(1.0, 1.2)
+    # m counts teleported modes: the channel has m + 1 >= 2 modes
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            channel_fidelity(1.0, 0.5, m)
 
 
 # --- teleportation through loss ---------------------------------------------------
 
 def test_lossless_noisy_run_matches_noiseless_protocol():
-    k1, k2 = 0.6, -0.5 + 0.3j
-    noisy = teleport_through_noise(3, 1.0, 1.0, k1, k2, n_max=10)
-    clean = run_protocol(3, 1.0, k1, k2, "minus", n_max=10)
-    for a, b in zip(noisy.outcomes, clean.outcomes):
-        assert (a.l, a.n) == (b.l, b.n)
-        assert abs(a.probability - b.probability) < 1e-10
-        if a.is_success:
-            assert abs(a.fidelity - 1.0) < 1e-9
-            assert abs(b.fidelity - 1.0) < 1e-9
+    # at eta = 1 the driver's loss channel is the identity: its operator-form
+    # run must match the kernel on the pure folded joint state
+    k1, k2, alpha = 0.6, -0.5 + 0.3j, 1.0
+    for m in (1, 2, 3, 4):
+        n_max = default_n_max(m, alpha)
+        for sign in ("minus", "plus"):
+            inp = build_input(m, alpha, k1, k2)
+            folded = fold_network(tensor(inp, build_channel(ChannelSpec(m, alpha, sign))), m)
+            assert folded.is_pure
+            pure = enumerate_outcomes(folded, m, n_max, sign=sign, reference=inp)
+            lossless = run_protocol(m, alpha, k1, k2, sign, n_max=n_max, eta=1.0)
+            records = [(o.l, o.n, o.correction) for o in pure.outcomes]
+            assert [(o.l, o.n, o.correction) for o in lossless.outcomes] == records
+            for a, b in zip(lossless.outcomes, pure.outcomes):
+                assert abs(a.probability - b.probability) < 1e-12
+                assert abs(a.fidelity - b.fidelity) < 1e-12
 
 
 def test_noisy_outcome_fidelities_match_exact_closed_form():

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from ecs_teleport import fock
 from ecs_teleport.algebra import fidelity, project_photon_number, tensor
 from ecs_teleport.channels import ChannelSpec, build_channel, build_input
-from ecs_teleport.noise import (
-    channel_fidelity,
-    lossy_channel_operator,
-    teleport_through_noise,
-    teleported_fidelity_exact,
-)
+from ecs_teleport.noise import channel_fidelity, lossy_channel_operator, teleported_fidelity_exact
 from ecs_teleport.teleport import (
     PROB_FLOOR,
     bob_state,
@@ -27,6 +22,7 @@ from ecs_teleport.teleport import (
     fold_pairs,
     run_protocol,
     success_probability_closed_form,
+    teleport_through_noise,
 )
 from ecs_teleport.verify import even_success_unsquared_variant
 
@@ -81,8 +77,9 @@ def test_fold_network_wrong_mode_count():
 
 
 def test_no_outcomes_with_both_counts_nonzero():
-    folded = fold_network(_joint(3, 1.0, 0.6, 0.8, "minus"), 3)
-    report = enumerate_outcomes(folded, 3, 10)
+    inp = build_input(3, 1.0, 0.6, 0.8)
+    folded = fold_network(tensor(inp, build_channel(ChannelSpec(3, 1.0, "minus"))), 3)
+    report = enumerate_outcomes(folded, 3, 10, reference=inp)
     assert all(o.l == 0 or o.n == 0 for o in report.outcomes)
     # direct projection of a doubly-nonzero record is exactly zero
     state, _ = project_photon_number(folded, 3, 2)
@@ -298,10 +295,7 @@ def bob_cuts_plus_one(cuts):
 # --- outcome-table kernel against a per-record reference -------------------------
 
 def _folded(m, alpha, eta, k1, k2, sign):
-    """Folded joint state and teleported input, built as the protocol drivers do."""
-    if eta == 1.0:
-        inp = build_input(m, alpha, k1, k2)
-        return fold_network(tensor(inp, build_channel(ChannelSpec(m, alpha, sign))), m), inp
+    """Folded joint state and teleported input, built as the protocol driver does."""
     inp = build_input(m, math.sqrt(eta) * alpha, k1, k2)
     joint = tensor(inp, lossy_channel_operator(m, alpha, eta, sign))
     return fold_network(joint, m), inp
@@ -338,21 +332,11 @@ def test_kernel_matches_per_record_reference(m, sign, eta):
         assert abs(o.fidelity - fid) < 1e-12
 
 
-def test_kernel_without_reference_leaves_states_uncorrected():
-    folded, inp = _folded(2, 0.9, 1.0, 0.6, 0.8j, "minus")
-    report = enumerate_outcomes(folded, 2, 10)
-    table = _reference_table(folded, 2, 10, "minus", inp)
-    assert [(o.l, o.n) for o in report.outcomes] == sorted(table)
-    for o in report.outcomes:
-        assert o.correction == "none" and math.isnan(o.fidelity)
-        assert abs(o.probability - table[(o.l, o.n)][0]) < 1e-12
-    assert math.isnan(report.mean_fidelity)
-
-
 def test_kernel_rejects_non_vacuum_input_mode():
-    joint = tensor(build_input(3, 1.0, 1.0, 1.0), build_channel(ChannelSpec(3, 1.0)))
+    inp = build_input(3, 1.0, 1.0, 1.0)
+    joint = tensor(inp, build_channel(ChannelSpec(3, 1.0)))
     with pytest.raises(AssertionError):
-        enumerate_outcomes(joint, 3, 5)
+        enumerate_outcomes(joint, 3, 5, reference=inp)
 
 
 kappas = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -367,10 +351,7 @@ kappas = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=Fals
     eta=st.floats(0.2, 1.0),
 )
 def test_outcome_mass_is_complete(k1, k2, m, alpha, eta):
-    if eta == 1.0:
-        report = run_protocol(m, alpha, k1, k2, "minus")
-    else:
-        report = teleport_through_noise(m, alpha, eta, k1, k2, "minus")
+    report = run_protocol(m, alpha, k1, k2, "minus", eta=eta)
     assert abs(report.total_probability - 1.0) < 1e-9
 
 
