@@ -26,7 +26,12 @@ from .channels import (
     norm_constant,
 )
 from .noise import channel_fidelity, teleported_fidelity_exact
-from .teleport import default_n_max, run_protocol, success_probability_closed_form
+from .teleport import (
+    default_n_max,
+    run_protocol,
+    success_probability_closed_form,
+    transmitted_amplitude,
+)
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
@@ -145,7 +150,8 @@ def cmd_channel_info(args) -> int:
 def _teleport_rows(args, m: int):
     k1 = complex(args.kappa1_re, args.kappa1_im)
     k2 = complex(args.kappa2_re, args.kappa2_im)
-    n_max = default_n_max(m, args.alpha)
+    # size the table from the transmitted amplitude, as run_protocol does
+    n_max = default_n_max(m, transmitted_amplitude(args.alpha, args.eta))
     if n_max > MAX_N_MAX:
         raise ValueError(
             f"outcome table needs photon counts up to {n_max} (limit {MAX_N_MAX}); lower m or alpha"

@@ -1,10 +1,12 @@
-"""Brute-force engine in a truncated photon-number basis.
+"""Independent engine in a truncated photon-number basis.
 
 Everything the closed-form coherent algebra computes is re-derived here from
-dense numerics: states become coefficient tensors over |n_1..n_M>, the 50/50
-beam splitter becomes the exponential of a truncated quadratic generator, and
-measurements become index slices.  The engine is deliberately simple and slow;
-its only job is to verify the exact algebra independently.
+number-basis numerics: states become coefficient tensors over |n_1..n_M>,
+measurements become index slices, and the 50/50 beam splitter becomes the
+exponential of its truncated quadratic generator.  That generator keeps the
+total photon number N of the two modes fixed, so its exponential is one small
+unitary block per N, found by `np.linalg.eigh`.  No coherent-label identity
+is used; the engine's only job is to verify the exact algebra independently.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import CoherentState, UnsupportedStructureError
 
@@ -91,50 +92,74 @@ def encode(state: CoherentState, cutoff: Union[int, Sequence[int], None] = None)
                 stacklevel=2,
             )
     dims = tuple(c + 1 for c in cuts)
-    data = np.zeros(dims, dtype=complex)
-    for coeff, row in zip(state.coeffs.tolist(), state.labels.tolist()):
-        acc = np.array(coeff, dtype=complex)
-        for a, d in zip(row, dims):
-            acc = np.multiply.outer(acc, coherent_column(a, d))
-        data = data + acc
-    return FockVector(dims, data)
+    half = modes // 2
+    left = _branch_rows(state.labels[:, :half], dims[:half]) * state.coeffs[:, None]
+    right = _branch_rows(state.labels[:, half:], dims[half:])
+    return FockVector(dims, (left.T @ right).reshape(dims))
+
+
+def _branch_rows(labels: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """(K, prod(dims)) matrix whose row k is the flattened product tensor of branch k."""
+    rows = np.ones((len(labels), 1), dtype=complex)
+    for mode, d in enumerate(dims):
+        cols = np.array([coherent_column(a, d) for a in labels[:, mode].tolist()])
+        rows = (rows[:, :, None] * cols[:, None, :]).reshape(len(labels), -1)
+    return rows
+
+
+def _mode_generator() -> np.ndarray:
+    """Hermitian h = i log S of the 50/50 mode matrix S, so that S = exp(-i h)."""
+    s = 1.0 / math.sqrt(2.0)
+    w, v = np.linalg.eigh(np.array([[s, s], [s, -s]]))
+    return 1j * ((v * np.log(w.astype(complex))) @ v.T)
+
+
+_H = _mode_generator()
 
 
 @lru_cache(maxsize=64)
-def _bs_block(di: int, dj: int) -> np.ndarray:
-    """Two-mode unitary U with U|mu, nu> = |(mu+nu)/sqrt2, (mu-nu)/sqrt2>.
+def _bs_blocks(di: int, dj: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The 50/50 beam splitter on a (di, dj) truncation, one block per shell.
 
-    Built as exp(-i H) with H the truncated quadratic generator; truncation of
-    a Hermitian H keeps U exactly unitary on the truncated space.
+    The two-mode unitary, with U|mu, nu> = |(mu+nu)/sqrt2, (mu-nu)/sqrt2> on
+    coherent labels, is exp(-i H) with H = h00 n_i + h11 n_j + h01 a_i^+ a_j
+    + h10 a_i a_j^+ truncated to mu < di, nu < dj.  H keeps N = mu + nu fixed,
+    so for each N it returns (mu, nu, U_N): the index pairs (mu, N - mu) inside
+    the truncation and exp(-i H_N) on them, from `eigh` of the Hermitian H_N.
+    Truncation keeps each H_N Hermitian, so each U_N is exactly unitary.
     """
-    s = 1.0 / math.sqrt(2.0)
-    mode_matrix = np.array([[s, s], [s, -s]])
-    w, v = np.linalg.eigh(mode_matrix)
-    h = 1j * ((v * np.log(w.astype(complex))) @ v.T)  # i log S, Hermitian
-    a_i = np.diag(np.sqrt(np.arange(1, di)), 1)
-    a_j = np.diag(np.sqrt(np.arange(1, dj)), 1)
-    n_i = np.diag(np.arange(di)).astype(complex)
-    n_j = np.diag(np.arange(dj)).astype(complex)
-    ham = (
-        h[0, 0] * np.kron(n_i, np.eye(dj))
-        + h[1, 1] * np.kron(np.eye(di), n_j)
-        + h[0, 1] * np.kron(a_i.conj().T, a_j)
-        + h[1, 0] * np.kron(a_i, a_j.conj().T)
-    )
-    return expm(-1j * ham)
+    blocks = []
+    for n in range(di + dj - 1):
+        mu = np.arange(max(0, n - dj + 1), min(n, di - 1) + 1)
+        nu = n - mu
+        # <mu+1, nu-1| H |mu, nu> = h01 sqrt((mu+1) nu)
+        hop = _H[0, 1] * np.sqrt((mu[:-1] + 1.0) * nu[:-1])
+        ham = np.diag(_H[0, 0] * mu + _H[1, 1] * nu) + np.diag(hop, -1) + np.diag(hop.conj(), 1)
+        w, v = np.linalg.eigh(ham)
+        u = (v * np.exp(-1j * w)) @ v.conj().T
+        for arr in (mu, nu, u):
+            arr.flags.writeable = False
+        blocks.append((mu, nu, u))
+    return tuple(blocks)
 
 
 def bs_unitary(v: FockVector, i: int, j: int) -> FockVector:
-    """Apply the 50/50 beam splitter to modes (i, j) of a Fock tensor."""
+    """Apply the 50/50 beam splitter to modes (i, j) of a Fock tensor.
+
+    Each shell block U_N acts on the slice data[mu, nu, ...] of modes i, j;
+    no (di dj) x (di dj) matrix is formed.
+    """
     if i == j:
         raise IndexError("beam splitter needs two distinct modes")
     for m in (i, j):
         if not 0 <= m < v.mode_count:
             raise IndexError(f"mode {m} out of range")
-    di, dj = v.dims[i], v.dims[j]
-    u4 = _bs_block(di, dj).reshape(di, dj, di, dj)
-    out = np.tensordot(u4, v.data, axes=([2, 3], [i, j]))
-    out = np.moveaxis(out, [0, 1], [i, j])
+    out = np.empty(v.data.shape, dtype=complex)
+    src = np.moveaxis(v.data, (i, j), (0, 1))
+    dst = np.moveaxis(out, (i, j), (0, 1))
+    for mu, nu, u in _bs_blocks(v.dims[i], v.dims[j]):
+        shell = src[mu, nu]
+        dst[mu, nu] = (u @ shell.reshape(len(mu), -1)).reshape(shell.shape)
     return FockVector(v.dims, out)
 
 

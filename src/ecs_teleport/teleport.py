@@ -251,6 +251,17 @@ def enumerate_outcomes(
     return ProtocolReport(outcomes, p_succ, mean_f)
 
 
+def transmitted_amplitude(alpha: complex, eta: float) -> complex:
+    """sqrt(eta) alpha, the amplitude Alice prepares her input at, after
+    checking eta and that the protocol does not degenerate there."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    beta = math.sqrt(eta) * alpha
+    if abs(beta) < MIN_AMPLITUDE:
+        raise ValueError("sqrt(eta) * |alpha| too small; the protocol degenerates")
+    return beta
+
+
 def run_protocol(
     m: int,
     alpha: complex,
@@ -274,11 +285,7 @@ def run_protocol(
     exactly (for the minus channel; the plus channel via the swapped parity
     rules).
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    beta = math.sqrt(eta) * alpha
-    if abs(beta) < MIN_AMPLITUDE:
-        raise ValueError("sqrt(eta) * |alpha| too small; the protocol degenerates")
+    beta = transmitted_amplitude(alpha, eta)
     inp = build_input(m, beta, kappa1, kappa2)
     joint = tensor(inp, lossy_channel_operator(m, alpha, eta, sign))
     folded = fold_network(joint, m)

@@ -50,6 +50,21 @@ def test_teleport_rejects_an_oversized_table(capsys):
     assert "lower m or alpha" in capsys.readouterr().err
 
 
+def test_teleport_sizes_the_table_from_the_transmitted_amplitude(capsys):
+    # sized from alpha instead of sqrt(eta) alpha, the table needed counts up to 1058837
+    argv = ["--m", "20", "--alpha", "1", "--eta", "0.0001"]
+    code, _, footer, err = _teleport_table(capsys, argv)
+    assert code == 0 and err == ""
+    assert abs(float(footer["total_probability"]) - 1.0) < 1e-9
+
+
+def test_teleport_rejects_negative_eta(capsys):
+    # the table size takes sqrt(eta); eta < 0 must not end in a math domain error
+    assert cli.main(["teleport", "--m", "2", "--eta", "-0.5"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: eta must lie in [0, 1]" in captured.err
+
+
 def test_fig2_at_zero_amplitude(capsys):
     assert cli.main(["figures", "fig2", "--alpha-range", "0", "1", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()

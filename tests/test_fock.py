@@ -2,6 +2,9 @@
 qubit reduction and Wootters concurrence."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +37,41 @@ def test_encode_two_branch_norm_deficit():
 def test_encode_warns_below_the_cutoff_rule():
     with pytest.warns(UserWarning):
         fock.encode(superposition([(1.0, (2.0,))]), 4)
+
+
+def _outer_product_encoding(state, dims):
+    """Reference encoding: the sum of one outer product of coherent columns per branch."""
+    data = np.zeros(dims, dtype=complex)
+    for coeff, row in zip(state.coeffs.tolist(), state.labels.tolist()):
+        acc = np.array(coeff, dtype=complex)
+        for a, d in zip(row, dims):
+            acc = np.multiply.outer(acc, fock.coherent_column(a, d))
+        data += acc
+    return data
+
+
+@pytest.mark.parametrize("cutoffs", [[12], [10, 13], [5, 6, 5, 6, 5, 6, 4]])
+def test_encode_matches_per_branch_outer_products(rng, cutoffs):
+    state = random_state(rng, len(cutoffs), 4, amp_max=0.3)
+    v = fock.encode(state, cutoffs)
+    dims = tuple(c + 1 for c in cutoffs)
+    assert v.dims == dims and v.data.shape == dims
+    assert np.max(np.abs(v.data - _outer_product_encoding(state, dims))) < 1e-14
+
+
+def test_importing_the_cli_leaves_scipy_out():
+    import ecs_teleport
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ecs_teleport.__file__)))
+    code = (
+        "import sys, ecs_teleport.cli; "
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_default_cutoff_rule_tail_bound():
@@ -69,6 +107,66 @@ def test_bs_unitary_random_states_agree_with_algebra(rng):
         fx = fock.bs_unitary(fock.encode(x, 18), 0, 1)
         ref = fock.encode(beam_splitter(x, 0, 1), 18)
         assert abs(fock.inner(ref, fx) - 1.0) < 1e-6
+
+
+def _dense_bs_reference(di, dj):
+    """exp(-i H) of the whole truncated two-mode generator, built with kron and
+    exponentiated by eigh of the (di dj) x (di dj) matrix."""
+    s = 1.0 / math.sqrt(2.0)
+    w, v = np.linalg.eigh(np.array([[s, s], [s, -s]]))
+    h = 1j * ((v * np.log(w.astype(complex))) @ v.T)  # S = exp(-i h)
+    a_i = np.diag(np.sqrt(np.arange(1, di)), 1)
+    a_j = np.diag(np.sqrt(np.arange(1, dj)), 1)
+    ham = (
+        h[0, 0] * np.kron(a_i.T @ a_i, np.eye(dj))
+        + h[1, 1] * np.kron(np.eye(di), a_j.T @ a_j)
+        + h[0, 1] * np.kron(a_i.T, a_j)
+        + h[1, 0] * np.kron(a_i, a_j.T)
+    )
+    w, v = np.linalg.eigh(ham)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("dims", [(5, 5), (7, 13), (13, 7)])
+def test_bs_blocks_reassemble_the_dense_unitary(dims):
+    di, dj = dims
+    full = np.zeros((di * dj, di * dj), dtype=complex)
+    covered = np.zeros(di * dj, dtype=int)
+    for mu, nu, u in fock._bs_blocks(di, dj):
+        idx = mu * dj + nu
+        full[np.ix_(idx, idx)] = u
+        covered[idx] += 1
+    assert np.all(covered == 1)
+    assert np.max(np.abs(full - _dense_bs_reference(di, dj))) < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (5, 5), (7, 13), (13, 7), (41, 41)])
+def test_bs_blocks_are_unitary(dims):
+    for mu, nu, u in fock._bs_blocks(*dims):
+        assert np.all(mu + nu == mu[0] + nu[0])
+        assert np.max(np.abs(u @ u.conj().T - np.eye(len(mu)))) < 1e-12
+
+
+def _shell_weights(data, i, j):
+    """Weight of each total photon number n_i + n_j of modes i and j."""
+    probs = np.moveaxis(np.abs(data) ** 2, (i, j), (0, 1))
+    probs = probs.reshape(probs.shape[0], probs.shape[1], -1).sum(axis=2)
+    total = np.add.outer(np.arange(probs.shape[0]), np.arange(probs.shape[1]))
+    return np.bincount(total.ravel(), weights=probs.ravel())
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (2, 0)])
+def test_bs_unitary_keeps_shell_weights(rng, pair):
+    dims = (6, 4, 9)
+    data = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    data /= np.linalg.norm(data)
+    out = fock.bs_unitary(fock.FockVector(dims, data), *pair)
+    assert np.max(np.abs(_shell_weights(out.data, *pair) - _shell_weights(data, *pair))) < 1e-12
+    # and acts on that pair as the dense reference does
+    i, j = pair
+    u4 = _dense_bs_reference(dims[i], dims[j]).reshape(dims[i], dims[j], dims[i], dims[j])
+    ref = np.moveaxis(np.tensordot(u4, data, axes=([2, 3], [i, j])), (0, 1), (i, j))
+    assert np.max(np.abs(out.data - ref)) < 1e-12
 
 
 def test_measure_number_vacuum():

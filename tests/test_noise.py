@@ -230,10 +230,10 @@ def test_noise_run_rejects_degenerate_parameters():
 def _dense_lossy_protocol(alpha, eta, k1, k2, n_outcomes, dim=16):
     """Purified run in the number basis: a 5-mode state vector over the input,
     the two channel modes and one explicit environment mode per channel mode,
-    a dense beam splitter, projective measurement, parity correction, and a
-    branch-sign flip built from the encoded branch vectors.  Bob's state for
-    record (l, n) is M M^H with M the (l, n) slice, which traces out the
-    environment."""
+    the Fock-engine beam splitter, projective measurement, parity correction,
+    and a branch-sign flip built from the encoded branch vectors.  Bob's
+    state for record (l, n) is M M^H with M the (l, n) slice, which traces
+    out the environment."""
     beta = math.sqrt(eta) * alpha
     col = fock.coherent_column
     se, sr = math.sqrt(eta), math.sqrt(1 - eta)
@@ -254,8 +254,7 @@ def _dense_lossy_protocol(alpha, eta, k1, k2, n_outcomes, dim=16):
     vin = k1n * col(beta, dim) + k2n * col(-beta, dim)
     psi = np.multiply.outer(vin, vec)  # (input, ch1, ch2, env1, env2)
 
-    u4 = fock._bs_block(dim, dim).reshape((dim,) * 4)
-    psi = np.tensordot(u4, psi, axes=([2, 3], [0, 1]))
+    psi = fock.bs_unitary(fock.FockVector(psi.shape, psi), 0, 1).data
 
     par = np.array([(-1.0) ** k for k in range(dim)])
     plus, minus = col(beta, dim), col(-beta, dim)
