@@ -97,7 +97,11 @@ def _build_parser() -> _Parser:
     p_tel.add_argument("--kappa1-im", type=_finite_float, default=0.0)
     p_tel.add_argument("--kappa2-re", type=_finite_float, default=1 / math.sqrt(2))
     p_tel.add_argument("--kappa2-im", type=_finite_float, default=0.0)
-    p_tel.add_argument("--engine", choices=("closed_form", "coherent", "all"), default="coherent")
+    p_tel.add_argument(
+        "--engine", choices=("closed_form", "coherent", "all"), default="coherent",
+        help="coherent: the label algebra; closed_form: closed-form probabilities and "
+             "fidelities where they exist; all: the label algebra, with each record's "
+             "deviation from the Fock-basis MPS engine (any eta)")
 
     p_fig = sub.add_parser("figures", help="emit the (alpha, eta) fidelity grids as CSV")
     p_fig.add_argument("which", choices=("fig1", "fig2", "fig3", "fig4"))
@@ -160,48 +164,13 @@ def _teleport_rows(args, m: int):
     return report, k1, k2
 
 
-def _oracle_outcomes(m: int, alpha: float, k1, k2, sign: str, n_max: int):
-    """Protocol outcome table from the Fock engine (noiseless runs only)."""
-    from .channels import build_input
-    from .algebra import tensor
-    from .teleport import fold_pairs
-
-    inp = build_input(m, alpha, k1, k2)
-    chan = build_channel(ChannelSpec(m=m, alpha=alpha, sign=sign))
-    joint = tensor(inp, chan)
-    # per-mode dims sized from the amplitudes the fold cascade reaches
-    lam = (np.abs(joint.labels).max(axis=0) ** 2).tolist()
-    lam[m - 1] = lam[m] = (2.0**m) * alpha**2
-    if m >= 2:
-        lam[: m - 1] = [2.0 ** (m - 1) * alpha**2] * (m - 1)
-    cuts = [math.ceil(l + 5.0 * math.sqrt(l + 1.0) + 5.0) for l in lam]
-    if np.prod([c + 1 for c in cuts]) > 6e7:
-        raise ValueError(
-            "oracle engine infeasible for these parameters; lower m or alpha"
-        )
-    vec = fock.encode(joint, cuts)
-    for i, j in fold_pairs(m):
-        vec = fock.bs_unitary(vec, i, j)
-    table = {}
-    for n in range(min(n_max, min(cuts) - 1) + 1):
-        sliced, _ = fock.measure_number(vec, m, n)
-        red, p = fock.measure_number(sliced, m - 1, 0)
-        table[(0, n)] = p
-    for l in range(1, min(n_max, min(cuts) - 1) + 1):
-        sliced, _ = fock.measure_number(vec, m, 0)
-        red, p = fock.measure_number(sliced, m - 1, l)
-        table[(l, 0)] = p
-    return table
-
-
 def cmd_teleport(args) -> int:
     m = 3 if args.m is None else args.m
     report, k1, k2 = _teleport_rows(args, m)
     engine = args.engine
     if engine == "all":
-        if args.eta < 1.0:
-            raise ValueError("the oracle engine covers noiseless runs only")
-        oracle_table = _oracle_outcomes(m, args.alpha, k1, k2, args.sign, 20)
+        oracle = fock.protocol_table(m, args.alpha, k1, k2, args.sign, args.eta)
+        deviations = oracle.deviations(report.outcomes)
     header = ["l", "n", "probability", "correction", "fidelity"]
     if engine == "all":
         header.append("engine_disagreement")
@@ -217,10 +186,8 @@ def cmd_teleport(args) -> int:
         else:
             row = [str(o.l), str(o.n), _fmt(o.probability), o.correction, _fmt(o.fidelity)]
         if engine == "all":
-            dev = ""
-            if (o.l, o.n) in oracle_table:
-                dev = _fmt(abs(o.probability - oracle_table[(o.l, o.n)]))
-            row.append(dev)
+            covered = o.l < deviations.shape[0] and o.n < deviations.shape[1]
+            row.append(_fmt(deviations[o.l, o.n]) if covered else "")
         rows.append(",".join(row))
     total = report.total_probability
     if 1.0 - total > MISSING_MASS_TOL:
@@ -236,6 +203,9 @@ def cmd_teleport(args) -> int:
     odd_dev = _max_odd_closed_form_dev(report, m, args.alpha, args.sign, args.eta)
     if odd_dev is not None:
         footer.append(("max_odd_outcome_closed_form_deviation", odd_dev))
+    if engine == "all":
+        footer.append(("oracle_max_disagreement", float(deviations.max())))
+        footer.append(("oracle_discarded_weight", oracle.discarded_weight))
     pad = [""] * (len(header) - 2)
     lines = [",".join(header)]
     lines += rows
@@ -325,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -2,11 +2,21 @@
 
 Everything the closed-form coherent algebra computes is re-derived here from
 number-basis numerics: states become coefficient tensors over |n_1..n_M>,
-measurements become index slices, and the 50/50 beam splitter becomes the
-exponential of its truncated quadratic generator.  That generator keeps the
-total photon number N of the two modes fixed, so its exponential is one small
-unitary block per N, found by `np.linalg.eigh`.  No coherent-label identity
-is used; the engine's only job is to verify the exact algebra independently.
+measurements become index slices, and a two-mode beam splitter with a real
+orthogonal 2x2 mode matrix (the 50/50 fold splitter, or the loss splitter
+that couples a mode to its environment) becomes the exponential of its
+truncated quadratic generator.  That generator keeps the total photon number
+N of the two modes fixed, so its exponential is one small unitary block per
+N, found by `np.linalg.eigh`.
+
+`protocol_table` runs the whole protocol, loss included, in this basis.  It
+stores the state as a matrix-product state (MPS) over the site order
+[input m-1, ..., input 0, c_m, e_m, c_{m+1}, e_{m+1}, ...]: each channel mode
+c_k is followed by its environment mode e_k.  Every gate acts on two
+neighbouring sites, and an SVD after each gate keeps the bonds small (TEBD;
+Vidal, quant-ph/0301063; Schollwoeck, arXiv:1008.3477).  The branches enter
+only through `coherent_column`; no coherent-label identity is used, so the
+engine verifies the exact algebra independently.
 """
 
 from __future__ import annotations
@@ -20,6 +30,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .algebra import CoherentState, UnsupportedStructureError
+
+# largest per-mode photon cutoff the engine expands; one column at the cap takes 16 MiB
+MAX_CUTOFF = 2**20
 
 
 def default_cutoff(beta_max: float) -> int:
@@ -40,14 +53,40 @@ def poisson_tail(beta: complex, cutoff: int) -> float:
     return math.exp(log_head) / (1.0 - ratio)
 
 
+def tail_cutoff(beta: complex, tail: float) -> int:
+    """Smallest cutoff whose `poisson_tail` at beta is at most `tail`."""
+    cutoff = math.floor(abs(beta) ** 2)
+    while poisson_tail(beta, cutoff) > tail:
+        cutoff += 1
+    return cutoff
+
+
 def coherent_column(alpha: complex, dim: int) -> np.ndarray:
-    """Truncated number-basis column of |alpha>."""
+    """Truncated number-basis column of |alpha>, |c_n| = exp(-|alpha|^2/2 + n log|alpha| -
+    lgamma(n+1)/2) evaluated in log space, so that no factor under- or overflows."""
+    if dim - 1 > MAX_CUTOFF:
+        raise ValueError(
+            f"photon cutoff {dim - 1} exceeds the Fock engine's cap of {MAX_CUTOFF}; lower m or alpha"
+        )
     col = np.zeros(dim, dtype=complex)
-    c = complex(math.exp(-0.5 * abs(alpha) ** 2))
-    for n in range(dim):
-        col[n] = c
-        c = c * alpha / math.sqrt(n + 1)
-    return col
+    r = abs(alpha)
+    if r == 0.0:
+        col[0] = 1.0
+        return col
+    n = np.arange(dim)
+    half_log_factorials = _half_log_factorials(1 << (dim - 1).bit_length())[:dim]
+    log_mag = n * math.log(r) - 0.5 * r * r - half_log_factorials
+    turns = np.full(dim, complex(alpha) / r)
+    turns[0] = 1.0
+    return np.exp(log_mag) * np.cumprod(turns)
+
+
+@lru_cache(maxsize=None)
+def _half_log_factorials(size: int) -> np.ndarray:
+    """lgamma(n + 1) / 2 for n < size; callers ask for powers of two and slice."""
+    table = np.array([0.5 * math.lgamma(n + 1.0) for n in range(size)])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -107,60 +146,92 @@ def _branch_rows(labels: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     return rows
 
 
-def _mode_generator() -> np.ndarray:
-    """Hermitian h = i log S of the 50/50 mode matrix S, so that S = exp(-i h)."""
-    s = 1.0 / math.sqrt(2.0)
-    w, v = np.linalg.eigh(np.array([[s, s], [s, -s]]))
-    return 1j * ((v * np.log(w.astype(complex))) @ v.T)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+# mode matrix of the 50/50 fold beam splitter: labels (mu, nu) -> ((mu+nu)/sqrt2, (mu-nu)/sqrt2)
+FIFTY_FIFTY = ((_SQRT_HALF, _SQRT_HALF), (_SQRT_HALF, -_SQRT_HALF))
 
 
-_H = _mode_generator()
+def loss_matrix(eta: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Mode matrix of loss on (channel, environment): the rotation taking the
+    labels (g, 0) to (sqrt(eta) g, sqrt(1-eta) g)."""
+    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+    return ((t, -r), (r, t))
+
+
+def _mode_generator(mode_matrix) -> np.ndarray:
+    """Hermitian h = i log S of a real orthogonal 2x2 mode matrix S, so that S = exp(-i h).
+
+    S is normal, so its eigenvectors are orthonormal and h = i V log(W) V^H.
+    """
+    w, v = np.linalg.eig(np.asarray(mode_matrix, dtype=float))
+    h = 1j * ((v * np.log(w.astype(complex))) @ np.linalg.inv(v))
+    return 0.5 * (h + h.conj().T)
 
 
 @lru_cache(maxsize=64)
-def _bs_blocks(di: int, dj: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The 50/50 beam splitter on a (di, dj) truncation, one block per shell.
+def _bs_blocks(
+    di: int, dj: int, mode_matrix=FIFTY_FIFTY
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The beam splitter with a real orthogonal 2x2 `mode_matrix` S on a
+    (di, dj) truncation, one block per shell.
 
-    The two-mode unitary, with U|mu, nu> = |(mu+nu)/sqrt2, (mu-nu)/sqrt2> on
-    coherent labels, is exp(-i H) with H = h00 n_i + h11 n_j + h01 a_i^+ a_j
-    + h10 a_i a_j^+ truncated to mu < di, nu < dj.  H keeps N = mu + nu fixed,
-    so for each N it returns (mu, nu, U_N): the index pairs (mu, N - mu) inside
-    the truncation and exp(-i H_N) on them, from `eigh` of the Hermitian H_N.
-    Truncation keeps each H_N Hermitian, so each U_N is exactly unitary.
+    The two-mode unitary, with U|mu, nu> = |S (mu, nu)> on coherent labels,
+    is exp(-i H) with H = h00 n_i + h11 n_j + h01 a_i^+ a_j + h10 a_i a_j^+
+    (h = i log S) truncated to mu < di, nu < dj.  H keeps N = mu + nu fixed,
+    so for each N it returns (mu, nu, U_N): the index pairs (mu, N - mu)
+    inside the truncation and exp(-i H_N) on them, from `eigh` of the
+    Hermitian H_N.  Truncation keeps each H_N Hermitian, so each U_N is
+    exactly unitary.
     """
-    blocks = []
-    for n in range(di + dj - 1):
-        mu = np.arange(max(0, n - dj + 1), min(n, di - 1) + 1)
-        nu = n - mu
-        # <mu+1, nu-1| H |mu, nu> = h01 sqrt((mu+1) nu)
-        hop = _H[0, 1] * np.sqrt((mu[:-1] + 1.0) * nu[:-1])
-        ham = np.diag(_H[0, 0] * mu + _H[1, 1] * nu) + np.diag(hop, -1) + np.diag(hop.conj(), 1)
+    h = _mode_generator(mode_matrix)
+    # H_N = D R D^H with D = diag(phase^mu) and R real symmetric, so `eigh` runs on real matrices
+    phase = np.exp(1j * np.angle(h[0, 1]))
+    shell = np.arange(di + dj - 1)
+    first = np.maximum(0, shell - dj + 1)
+    size = np.minimum(shell, di - 1) - first + 1
+    blocks = [None] * len(shell)
+    for k in range(1, min(di, dj) + 1):
+        # every shell with k index pairs, stacked, so one `eigh` call serves them all
+        rows = np.flatnonzero(size == k)
+        mu = first[rows, None] + np.arange(k)
+        nu = shell[rows, None] - mu
+        ham = np.zeros((len(rows), k, k))
+        diag = np.arange(k)
+        ham[:, diag, diag] = h[0, 0].real * mu + h[1, 1].real * nu
+        # |<mu+1, nu-1| H |mu, nu>| = |h01| sqrt((mu+1) nu)
+        hop = abs(h[0, 1]) * np.sqrt((mu[:, :-1] + 1.0) * nu[:, :-1])
+        ham[:, diag[1:], diag[:-1]] = ham[:, diag[:-1], diag[1:]] = hop
         w, v = np.linalg.eigh(ham)
-        u = (v * np.exp(-1j * w)) @ v.conj().T
+        gauge = phase ** mu.astype(float)
+        u = (v * np.exp(-1j * w)[:, None, :]) @ v.swapaxes(1, 2)
+        u = gauge[:, :, None] * u * gauge.conj()[:, None, :]
         for arr in (mu, nu, u):
             arr.flags.writeable = False
-        blocks.append((mu, nu, u))
+        for row, block in zip(rows.tolist(), zip(mu, nu, u)):
+            blocks[row] = block
     return tuple(blocks)
 
 
-def bs_unitary(v: FockVector, i: int, j: int) -> FockVector:
-    """Apply the 50/50 beam splitter to modes (i, j) of a Fock tensor.
+def _apply_blocks(data: np.ndarray, i: int, j: int, blocks) -> np.ndarray:
+    """Apply shell blocks to axes (i, j) of `data`: each U_N acts on the slice
+    data[mu, nu, ...], so no (di dj) x (di dj) matrix is formed."""
+    out = np.empty(data.shape, dtype=complex)
+    src = np.moveaxis(data, (i, j), (0, 1))
+    dst = np.moveaxis(out, (i, j), (0, 1))
+    for mu, nu, u in blocks:
+        shell = src[mu, nu]
+        dst[mu, nu] = (u @ shell.reshape(len(mu), -1)).reshape(shell.shape)
+    return out
 
-    Each shell block U_N acts on the slice data[mu, nu, ...] of modes i, j;
-    no (di dj) x (di dj) matrix is formed.
-    """
+
+def bs_unitary(v: FockVector, i: int, j: int) -> FockVector:
+    """Apply the 50/50 beam splitter to modes (i, j) of a Fock tensor."""
     if i == j:
         raise IndexError("beam splitter needs two distinct modes")
     for m in (i, j):
         if not 0 <= m < v.mode_count:
             raise IndexError(f"mode {m} out of range")
-    out = np.empty(v.data.shape, dtype=complex)
-    src = np.moveaxis(v.data, (i, j), (0, 1))
-    dst = np.moveaxis(out, (i, j), (0, 1))
-    for mu, nu, u in _bs_blocks(v.dims[i], v.dims[j]):
-        shell = src[mu, nu]
-        dst[mu, nu] = (u @ shell.reshape(len(mu), -1)).reshape(shell.shape)
-    return FockVector(v.dims, out)
+    return FockVector(v.dims, _apply_blocks(v.data, i, j, _bs_blocks(v.dims[i], v.dims[j])))
 
 
 def measure_number(v: FockVector, mode: int, n: int) -> tuple[FockVector, float]:
@@ -208,6 +279,175 @@ def product_overlap(amps_a: Sequence[complex], amps_b: Sequence[complex]) -> com
     for a, b in zip(amps_a, amps_b):
         out *= single_mode_overlap(a, b)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the protocol as a matrix-product state
+
+# weight the protocol oracle may drop at each truncation: the Poisson tail
+# past a mode's cutoff, and the squared singular values cut from a bond
+ORACLE_TAIL = 1e-12
+# most levels the two modes of one gate may carry together
+MAX_PAIR_LEVELS = 100_000
+# most entries of a dense conditional state
+MAX_DENSE_ENTRIES = 10_000_000
+
+
+@dataclass(frozen=True)
+class ProtocolTable:
+    """The protocol's outcome table from the Fock engine.
+
+    `probabilities[l, n]` is the probability of l photons on the folded input
+    mode and n on the first channel mode, for every l and n inside those two
+    modes' cutoffs; `discarded_weight` is the squared norm the SVD cuts
+    dropped, summed over every cut.
+    """
+
+    probabilities: np.ndarray
+    discarded_weight: float
+    # (l, n, bond) tensor of the measured pair, the emptied input modes projected on vacuum
+    _pair: np.ndarray
+    # right-canonical sites e_m, c_{m+1}, e_{m+1}, ..., c_2m, e_2m
+    _right: tuple[np.ndarray, ...]
+
+    def deviations(self, outcomes) -> np.ndarray:
+        """|probabilities - p| over the whole table, with p the `.probability`
+        of each of `outcomes` at its (`.l`, `.n`) and 0 at every other record;
+        outcomes outside the table are left out."""
+        ref = np.zeros_like(self.probabilities)
+        rows, cols = ref.shape
+        for o in outcomes:
+            if o.l < rows and o.n < cols:
+                ref[o.l, o.n] = o.probability
+        return np.abs(self.probabilities - ref)
+
+    def conditional_state(self, l: int, n: int) -> FockVector:
+        """Normalized state after the record (l, n), before any correction, as
+        a dense tensor over Bob's m modes and then the m + 1 environment
+        modes (one level each at eta = 1).  Tracing the environment gives
+        Bob's state."""
+        dims = [site.shape[1] for site in self._right]
+        if math.prod(dims) > MAX_DENSE_ENTRIES:
+            raise ValueError("conditional state too large to hold densely")
+        data = self._pair[l, n]
+        for site in self._right:
+            data = np.tensordot(data, site, axes=1)
+        data = data.reshape(dims)
+        # site order e_m, c_{m+1}, e_{m+1}, ...: Bob's modes sit at the odd sites
+        order = list(range(1, len(dims), 2)) + list(range(0, len(dims), 2))
+        data = np.transpose(data, order)
+        return FockVector(data.shape, data / np.linalg.norm(data))
+
+
+def protocol_table(
+    m: int,
+    alpha: complex,
+    kappa1: complex,
+    kappa2: complex,
+    sign: str = "minus",
+    eta: float = 1.0,
+) -> ProtocolTable:
+    """Run the protocol through loss of transmissivity eta in the number basis.
+
+    The state is an MPS over the sites [input m-1, ..., input 0, c_m, e_m,
+    c_{m+1}, e_{m+1}, ..., c_2m, e_2m], built from the input at sqrt(eta)
+    alpha (as `teleport.run_protocol` prepares it) and the channel at alpha,
+    each environment mode e_k in vacuum.  A right-to-left sweep applies the
+    loss beam splitter `loss_matrix(eta)` to every (c_k, e_k) pair.  A
+    left-to-right sweep then folds: on each step the 50/50 beam splitter and
+    a swap act as one gate, so the accumulator (input m-1) walks right and
+    ends next to c_m, with the orthogonality centre.  The last 50/50 splitter
+    acts on that pair, and the probabilities are its squared weights.
+
+    Each mode gets the fewest photons that leave a Poisson tail of at most
+    ORACLE_TAIL at the largest amplitude the mode carries; a mode that stays
+    in vacuum gets one level, so at eta = 1 the environment is inert and the
+    loss gate is the identity.  Every SVD drops the smallest singular values
+    whose squares sum to at most ORACLE_TAIL.
+    """
+    from .channels import ChannelSpec, build_channel, build_input  # channels imports fock
+
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    beta = math.sqrt(eta) * alpha
+    inp = build_input(m, beta, kappa1, kappa2)
+    chan = build_channel(ChannelSpec(m, alpha, sign))
+    in_amp = np.abs(inp.labels).max(axis=0)[::-1]
+    ch_amp = np.abs(chan.labels).max(axis=0)
+    env_amp = math.sqrt(1.0 - eta) * ch_amp
+    folded = 2.0 ** (m / 2.0) * abs(beta)  # both measured modes after the last splitter
+    in_amp[0] = folded
+    ch_amp[0] = max(ch_amp[0], folded)
+    site_amp = np.concatenate([in_amp, np.stack([ch_amp, env_amp], 1).ravel()])
+    dims = [tail_cutoff(a, ORACLE_TAIL) + 1 if a > 0 else 1 for a in site_amp.tolist()]
+    if math.prod(sorted(dims)[-2:]) > MAX_PAIR_LEVELS:
+        raise ValueError(
+            f"Fock oracle infeasible: a two-mode gate on {sorted(dims)[-2:]} levels "
+            f"exceeds {MAX_PAIR_LEVELS}; lower m or alpha"
+        )
+    env = np.zeros_like(chan.labels)
+    sites = _branch_sites(inp.labels[:, ::-1], inp.coeffs, dims[:m]) + _branch_sites(
+        np.stack([chan.labels, env], 2).reshape(len(env), -1), chan.coeffs, dims[m:]
+    )
+
+    # make every site but the last left-canonical; exact, so no bond is cut
+    for i in range(len(sites) - 1):
+        left, d, _ = sites[i].shape
+        q, r = np.linalg.qr(sites[i].reshape(left * d, -1))
+        sites[i] = q.reshape(left, d, -1)
+        sites[i + 1] = np.tensordot(r, sites[i + 1], axes=1)
+
+    # right to left: loss on each (c_k, e_k); the centre ends on site 0
+    discarded = 0.0
+    loss = loss_matrix(eta)
+    for i in range(len(sites) - 2, -1, -1):
+        theta = np.tensordot(sites[i], sites[i + 1], axes=1)
+        if i >= m and (i - m) % 2 == 0:  # (c_k, e_k)
+            theta = _apply_blocks(theta, 1, 2, _bs_blocks(theta.shape[1], theta.shape[2], loss))
+        sites[i], sites[i + 1], cut = _split(theta, centre_right=False)
+        discarded += cut
+    # left to right: fold the accumulator into input m-2, ..., 0, carrying the centre
+    for i in range(m - 1):
+        theta = np.tensordot(sites[i], sites[i + 1], axes=1)
+        theta = _apply_blocks(theta, 1, 2, _bs_blocks(theta.shape[1], theta.shape[2]))
+        sites[i], sites[i + 1], cut = _split(theta.swapaxes(1, 2), centre_right=True)
+        discarded += cut
+    pair = np.tensordot(sites[m - 1], sites[m], axes=1)
+    pair = _apply_blocks(pair, 1, 2, _bs_blocks(pair.shape[1], pair.shape[2]))
+    probs = np.einsum("alnc,alnc->ln", pair, pair.conj()).real
+
+    vacuum = np.ones(1)
+    for site in sites[: m - 1]:
+        vacuum = vacuum @ site[:, 0, :]
+    return ProtocolTable(probs, discarded, np.tensordot(vacuum, pair, axes=1), tuple(sites[m + 1 :]))
+
+
+def _branch_sites(labels: np.ndarray, coeffs: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+    """MPS of sum_k coeffs[k] prod_s |labels[k, s]>: the bond index is the branch."""
+    eye = np.eye(len(coeffs))
+    sites = [
+        np.array([coherent_column(a, d) for a in col.tolist()])[:, :, None] * eye[:, None, :]
+        for col, d in zip(labels.T, dims)
+    ]
+    sites[0] = np.tensordot(coeffs, sites[0], axes=1)[None]
+    sites[-1] = sites[-1].sum(axis=2, keepdims=True)
+    return sites
+
+
+def _split(theta: np.ndarray, centre_right: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """Split a two-site tensor by SVD, cutting the tail of weight <= ORACLE_TAIL;
+    returns the two sites, the centre on the side asked for, and the cut weight."""
+    left, di, dj, right = theta.shape
+    u, s, vh = np.linalg.svd(theta.reshape(left * di, dj * right), full_matrices=False)
+    tail = np.cumsum(s[::-1] ** 2)[::-1]  # tail[k] = sum of s^2 from k on
+    keep = max(1, int(np.count_nonzero(tail > ORACLE_TAIL)))
+    cut = float(tail[keep]) if keep < len(s) else 0.0
+    u, s, vh = u[:, :keep], s[:keep], vh[:keep]
+    if centre_right:
+        vh = s[:, None] * vh
+    else:
+        u = u * s
+    return u.reshape(left, di, keep), vh.reshape(keep, dj, right), cut
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Self-verification suites: every closed-form result is re-derived by the
-truncated number-basis engine, and the ambiguous published formulas are
-adjudicated by the protocol engine.  Used by the `verify` CLI subcommand.
+truncated number-basis engine, the lossy protocol is rerun there as a
+matrix-product state, and the ambiguous published formulas are adjudicated
+by the protocol engine.  Used by the `verify` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -331,6 +332,22 @@ def lossy_channel_fidelity(seed: int = 0, trials: int = 0) -> SuiteResult:
     )
 
 
+def lossy_protocol_oracle(seed: int = 0, trials: int = 0) -> SuiteResult:
+    """The Fock MPS outcome table against the coherent protocol through loss."""
+    k1, k2 = 0.8, -0.35 + 0.45j
+    worst, worst_case = 0.0, ""
+    for eta in (0.3, 0.6):
+        rep = run_protocol(2, 1.0, k1, k2, "minus", eta=eta)
+        dev = float(fock.protocol_table(2, 1.0, k1, k2, "minus", eta).deviations(rep.outcomes).max())
+        if dev >= worst:
+            worst, worst_case = dev, f"m=2 alpha=1.0 eta={eta}"
+    return SuiteResult(
+        "lossy protocol vs Fock MPS",
+        worst < 1e-6,
+        f"outcome tables, worst deviation {worst:.2e} ({worst_case})",
+    )
+
+
 def probability_kappa_independence(seed: int, trials: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     base = None
@@ -364,6 +381,7 @@ ALL_SUITES = (
     even_parity_adjudication,
     lossy_channel_fidelity,
     noisy_fidelity_adjudication,
+    lossy_protocol_oracle,
 )
 
 

@@ -170,13 +170,63 @@ def test_teleport_engine_oracle_is_removed(capsys):
     assert captured.out == "" and "invalid choice: 'oracle'" in captured.err
 
 
-def test_teleport_engine_all_agrees_with_the_fock_engine(capsys):
-    code = cli.main(["teleport", "--m", "1", "--alpha", "1.5", "--engine", "all"])
-    lines = capsys.readouterr().out.splitlines()
+def _engine_deviations(capsys, argv):
+    code = cli.main(["teleport"] + argv + ["--engine", "all"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     column = lines[0].split(",").index("engine_disagreement")
-    devs = [float(line.split(",")[column]) for line in lines[1:] if line.split(",")[column]]
-    assert code == 0 and devs
-    assert max(devs) <= 1e-6
+    rows = [line.split(",") for line in lines[1:] if line[0].isdigit()]
+    footer = {line.split(",")[0]: float(line.split(",")[1]) for line in lines[1:] if not line[0].isdigit()}
+    devs = [float(r[column]) for r in rows if r[column]]
+    return code, devs, footer, captured.err
+
+
+def test_teleport_engine_all_agrees_with_the_fock_engine(capsys):
+    code, devs, footer, err = _engine_deviations(capsys, ["--m", "1", "--alpha", "1.5"])
+    assert code == 0 and err == "" and devs
+    assert max(devs) <= footer["oracle_max_disagreement"] <= 1e-6
+    assert 0.0 <= footer["oracle_discarded_weight"] < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "3", "--alpha", "0.5"],
+    ["--m", "2", "--alpha", "1", "--eta", "0.5"],
+])
+def test_teleport_engine_all_beyond_the_dense_oracle(capsys, argv):
+    # the dense oracle was infeasible at m = 3 and covered no eta < 1
+    code, devs, footer, err = _engine_deviations(capsys, argv)
+    assert code == 0 and err == "" and devs
+    assert max(devs) <= footer["oracle_max_disagreement"] <= 1e-6
+    assert 0.0 <= footer["oracle_discarded_weight"] < 1e-9
+
+
+def test_teleport_engine_all_covers_every_record_of_the_oracle(capsys):
+    # the dense oracle printed deviations for counts up to 20 only
+    code, devs, _, _ = _engine_deviations(capsys, ["--m", "2", "--alpha", "1.2"])
+    assert code == 0 and len(devs) > 2 * 21
+
+
+def test_teleport_engine_all_rejects_an_infeasible_oracle(capsys):
+    argv = ["teleport", "--m", "9", "--alpha", "1.5", "--engine", "all"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: Fock oracle infeasible" in captured.err
+
+
+def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path):
+    # open() raised FileNotFoundError through main as a traceback
+    argv = ["teleport", "--m", "2", "--alpha", "1", "--out", str(tmp_path / "missing" / "x.csv")]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("m", [24, 40])
+def test_channel_info_beyond_the_fock_cap_is_a_usage_error(capsys, m):
+    # m = 40 ended in a numpy memory error, m = 24 ran for minutes
+    assert cli.main(["channel-info", "--m", str(m)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err and "cap" in captured.err
 
 
 def test_verify_passes(capsys):

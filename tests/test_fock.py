@@ -74,6 +74,36 @@ def test_importing_the_cli_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def _recurrence_column(alpha, dim):
+    """c_0 = exp(-|alpha|^2 / 2), c_{n+1} = c_n alpha / sqrt(n + 1)."""
+    col = np.zeros(dim, dtype=complex)
+    c = complex(math.exp(-0.5 * abs(alpha) ** 2))
+    for n in range(dim):
+        col[n] = c
+        c = c * alpha / math.sqrt(n + 1)
+    return col
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.3, -1.2, 0.8 - 1.9j, 6.0))
+def test_coherent_column_matches_the_recurrence(alpha):
+    dim = fock.default_cutoff(alpha) + 1
+    ref = _recurrence_column(alpha, dim)
+    assert np.max(np.abs(fock.coherent_column(alpha, dim) - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+def test_coherent_column_keeps_its_norm_past_exp_underflow():
+    # exp(-|alpha|^2 / 2) underflows to 0 at |alpha|^2 = 1600; the column must not
+    alpha = 40.0j
+    col = fock.coherent_column(alpha, fock.default_cutoff(alpha) + 1)
+    assert abs(np.linalg.norm(col) - 1.0) < 1e-10
+    assert np.argmax(np.abs(col)) in (1599, 1600)
+
+
+def test_coherent_column_rejects_cutoffs_above_the_cap():
+    with pytest.raises(ValueError, match="cap"):
+        fock.coherent_column(1.0, fock.MAX_CUTOFF + 2)
+
+
 def test_default_cutoff_rule_tail_bound():
     for beta in (0.5, 1.2, 2.83):
         cut = fock.default_cutoff(beta)
@@ -145,6 +175,28 @@ def test_bs_blocks_are_unitary(dims):
     for mu, nu, u in fock._bs_blocks(*dims):
         assert np.all(mu + nu == mu[0] + nu[0])
         assert np.max(np.abs(u @ u.conj().T - np.eye(len(mu)))) < 1e-12
+
+
+@pytest.mark.parametrize("eta", (0.0, 0.3, 0.6, 0.9, 1.0))
+def test_loss_generator_exponentiates_to_the_loss_matrix(eta):
+    w, v = np.linalg.eigh(fock._mode_generator(fock.loss_matrix(eta)))
+    assert np.max(np.abs((v * np.exp(-1j * w)) @ v.conj().T - np.array(fock.loss_matrix(eta)))) < 1e-14
+
+
+@pytest.mark.parametrize("eta", (0.3, 0.6, 0.9))
+def test_loss_blocks_are_unitary_and_map_the_labels(eta):
+    dims = (41, 37)
+    blocks = fock._bs_blocks(*dims, fock.loss_matrix(eta))
+    for mu, nu, u in blocks:
+        assert np.all(mu + nu == mu[0] + nu[0])
+        assert np.max(np.abs(u @ u.conj().T - np.eye(len(mu)))) < 1e-12
+    # |g>|0> -> |sqrt(eta) g>|sqrt(1 - eta) g> on the truncated pair
+    g = 1.3 - 0.4j
+    cuts = [d - 1 for d in dims]
+    vin = fock.encode(superposition([(1.0, (g, 0.0))]), cuts)
+    out = fock._apply_blocks(vin.data, 0, 1, blocks)
+    ref = fock.encode(superposition([(1.0, (math.sqrt(eta) * g, math.sqrt(1 - eta) * g))]), cuts)
+    assert np.max(np.abs(out - ref.data)) < 1e-12
 
 
 def _shell_weights(data, i, j):

@@ -238,26 +238,16 @@ def test_limit_probability_half_at_large_amplitude():
 
 # --- dual-engine outcome table ---------------------------------------------------
 
-def _fock_outcome_table(m, alpha, k1, k2, sign, n_top):
-    """Outcome probabilities and Bob states from the number-basis engine."""
-    joint = _joint(m, alpha, k1, k2, sign)
-    lam = (np.abs(joint.labels).max(axis=0) ** 2).tolist()
-    lam[m - 1] = lam[m] = (2.0**m) * alpha**2
-    # per-mode tails stay below ~1e-8, comfortably inside the 1e-6 agreement bar
-    cuts = [math.ceil(l + 5.0 * math.sqrt(l + 1.0) + 4.0) for l in lam]
-    vec = fock.encode(joint, cuts)
-    for i, j in fold_pairs(m):
-        vec = fock.bs_unitary(vec, i, j)
-    table = {}
-    for n in range(n_top + 1):
-        sliced, _ = fock.measure_number(vec, m, n)
-        reduced, p = fock.measure_number(sliced, m - 1, 0)
-        table[(0, n)] = (p, reduced)
-    for l in range(1, n_top + 1):
-        sliced, _ = fock.measure_number(vec, m, 0)
-        reduced, p = fock.measure_number(sliced, m - 1, l)
-        table[(l, 0)] = (p, reduced)
-    return table, cuts
+def _bob_fidelity(state, m, correction, reference):
+    """<reference| rho |reference> for Bob's state after a `none` or
+    `phase_only` correction; `state` is a Fock conditional state over Bob's m
+    modes then the environment, which the partial trace removes."""
+    bob_dims = state.dims[:m]
+    if correction == "phase_only":
+        state = fock.phase_pi(state, range(m))
+    ref = fock.encode(reference, [d - 1 for d in bob_dims]).data.ravel()
+    amps = ref.conj() @ state.data.reshape(ref.size, -1)
+    return float(np.vdot(amps, amps).real)
 
 
 @pytest.mark.parametrize("m,alpha", [(1, 1.0), (2, 1.0), (3, 0.35)])
@@ -265,31 +255,57 @@ def test_outcome_tables_agree_with_fock_engine(m, alpha):
     k1, k2 = 0.8, -0.35 + 0.45j
     rep = run_protocol(m, alpha, k1, k2, "minus", n_max=6)
     folded = fold_network(_joint(m, alpha, k1, k2, "minus"), m)
-    table, cuts = _fock_outcome_table(m, alpha, k1, k2, "minus", 6)
+    table = fock.protocol_table(m, alpha, k1, k2, "minus")
+    assert np.max(table.deviations(rep.outcomes)[:7, :7]) < 1e-6
     for o in rep.outcomes:
-        if (o.l, o.n) not in table:
-            continue
-        p_fock, reduced = table[(o.l, o.n)]
-        assert abs(o.probability - p_fock) < 1e-6
         if o.probability > 1e-8 and o.correction in ("none", "phase_only"):
-            # encode the engine's corrected Bob state and compare the collapse
-            bob_cuts = cuts[m + 1 :]
-            bob_ref = fock.encode(bob_state(folded, m, o.l, o.n, "minus"), bob_cuts)
-            collapsed = reduced.data
-            # strip the m-1 leading vacuum modes
-            for _ in range(m - 1):
-                collapsed = collapsed[0]
-            collapsed = collapsed / np.linalg.norm(collapsed)
-            if o.correction == "phase_only":
-                probe = fock.FockVector(tuple(bob_cuts_plus_one(bob_cuts)), collapsed)
-                probe = fock.phase_pi(probe, range(m))
-                collapsed = probe.data
-            fid = abs(np.vdot(bob_ref.data, collapsed)) ** 2
-            assert abs(fid - 1.0) < 1e-6
+            # the collapsed Fock state carries the engine's corrected Bob state
+            bob = bob_state(folded, m, o.l, o.n, "minus")
+            state = table.conditional_state(o.l, o.n)
+            assert state.dims[m:] == (1,) * (m + 1)  # no loss: the environment stays in vacuum
+            assert abs(_bob_fidelity(state, m, o.correction, bob) - 1.0) < 1e-6
 
 
-def bob_cuts_plus_one(cuts):
-    return [c + 1 for c in cuts]
+def _dense_fock_table(m, alpha, k1, k2, sign):
+    """P[l, n] from one dense tensor over all 2m+1 modes: `encode`, then
+    `bs_unitary` along the fold cascade."""
+    joint = _joint(m, alpha, k1, k2, sign)
+    lam = (np.abs(joint.labels).max(axis=0) ** 2).tolist()
+    lam[m - 1] = lam[m] = (2.0**m) * abs(alpha) ** 2
+    # per-mode tails stay below ~1e-8, comfortably inside the 1e-6 agreement bar
+    vec = fock.encode(joint, [math.ceil(x + 5.0 * math.sqrt(x + 1.0) + 4.0) for x in lam])
+    for i, j in fold_pairs(m):
+        vec = fock.bs_unitary(vec, i, j)
+    weights = np.moveaxis(np.abs(vec.data) ** 2, (m - 1, m), (0, 1))
+    return weights.reshape(weights.shape[0], weights.shape[1], -1).sum(axis=2)
+
+
+@pytest.mark.parametrize("m,alpha,sign", [(1, 1.0, "minus"), (2, 0.6, "minus"), (2, 0.8, "plus")])
+def test_mps_table_matches_the_dense_fock_table(m, alpha, sign):
+    k1, k2 = 0.6 - 0.2j, 0.5 + 0.4j
+    mps = fock.protocol_table(m, alpha, k1, k2, sign).probabilities
+    dense = _dense_fock_table(m, alpha, k1, k2, sign)
+    rows, cols = min(mps.shape[0], dense.shape[0]), min(mps.shape[1], dense.shape[1])
+    # every record, the (l > 0, n > 0) ones included
+    assert np.max(np.abs(mps[:rows, :cols] - dense[:rows, :cols])) < 1e-6
+
+
+@pytest.mark.parametrize("eta", (0.3, 0.6, 0.9))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_lossy_outcome_tables_agree_with_fock_engine(m, eta):
+    k1, k2 = 0.8, -0.35 + 0.45j
+    alpha = 0.9
+    rep = run_protocol(m, alpha, k1, k2, "minus", eta=eta)
+    table = fock.protocol_table(m, alpha, k1, k2, "minus", eta)
+    assert np.max(table.deviations(rep.outcomes)) < 1e-9
+    assert abs(table.probabilities.sum() - 1.0) < 1e-9
+    if m == 3:
+        return  # the dense conditional state would hold ~1e8 entries
+    reference = build_input(m, math.sqrt(eta) * alpha, k1, k2)
+    for o in rep.outcomes:
+        if o.probability > 1e-6 and o.correction in ("none", "phase_only"):
+            state = table.conditional_state(o.l, o.n)
+            assert abs(_bob_fidelity(state, m, o.correction, reference) - o.fidelity) < 1e-6
 
 
 # --- outcome-table kernel against a per-record reference -------------------------
