@@ -31,8 +31,8 @@ from .channels import (
     schmidt_coefficients,
 )
 from .fock import (
-    FockVector,
     bs_unitary,
+    channel_concurrence_oracle,
     default_cutoff,
     encode,
     measure_number,
@@ -40,7 +40,6 @@ from .fock import (
     wootters_concurrence,
 )
 from .noise import (
-    LossModel,
     apply_loss,
     channel_fidelity,
     teleported_fidelity_exact,

@@ -22,7 +22,6 @@ from .algebra import (
     normalized,
     superposition,
 )
-from . import fock
 
 
 @dataclass(frozen=True)
@@ -185,13 +184,3 @@ def schmidt_coefficients(
         x11=c2 * u_a * u_b,
     )
 
-
-def channel_concurrence_oracle(spec: ChannelSpec, partition) -> float:
-    """Wootters concurrence of the channel via the numeric qubit reduction."""
-    if isinstance(partition, int):
-        partition = (partition,)
-    part_a = tuple(sorted(set(partition)))
-    part_b = tuple(k for k in range(spec.m + 1) if k not in part_a)
-    state = build_channel(spec)
-    rho2 = fock.reduce_to_qubits(state, (part_a, part_b))
-    return fock.wootters_concurrence(rho2)

@@ -21,24 +21,16 @@ from .channels import (
     ChannelSpec,
     build_channel,
     channel_amplitudes,
-    channel_concurrence_oracle,
     concurrence_closed_form,
     norm_constant,
 )
 from .noise import channel_fidelity, teleported_fidelity_exact
-from .teleport import (
-    default_n_max,
-    run_protocol,
-    success_probability_closed_form,
-    transmitted_amplitude,
-)
+from .teleport import run_protocol, success_probability_closed_form
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
 # outcome mass the teleport table may miss before it warns on stderr
 MISSING_MASS_TOL = 1e-9
-# largest photon count the teleport table enumerates; its arrays grow with it
-MAX_N_MAX = 200_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,28 +137,17 @@ def cmd_channel_info(args) -> int:
     ]
     for k in range(m + 1):
         closed = concurrence_closed_form(spec, k)
-        oracle = channel_concurrence_oracle(spec, k)
+        oracle = fock.channel_concurrence_oracle(spec, k)
         lines.append(f"  mode {k} | rest: {closed:.6f} / {oracle:.6f}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _teleport_rows(args, m: int):
-    k1 = complex(args.kappa1_re, args.kappa1_im)
-    k2 = complex(args.kappa2_re, args.kappa2_im)
-    # size the table from the transmitted amplitude, as run_protocol does
-    n_max = default_n_max(m, transmitted_amplitude(args.alpha, args.eta))
-    if n_max > MAX_N_MAX:
-        raise ValueError(
-            f"outcome table needs photon counts up to {n_max} (limit {MAX_N_MAX}); lower m or alpha"
-        )
-    report = run_protocol(m, args.alpha, k1, k2, args.sign, n_max=n_max, eta=args.eta)
-    return report, k1, k2
-
-
 def cmd_teleport(args) -> int:
     m = 3 if args.m is None else args.m
-    report, k1, k2 = _teleport_rows(args, m)
+    k1 = complex(args.kappa1_re, args.kappa1_im)
+    k2 = complex(args.kappa2_re, args.kappa2_im)
+    report = run_protocol(m, args.alpha, k1, k2, args.sign, eta=args.eta)
     engine = args.engine
     if engine == "all":
         oracle = fock.protocol_table(m, args.alpha, k1, k2, args.sign, args.eta)
@@ -180,7 +161,7 @@ def cmd_teleport(args) -> int:
     for o in sorted(report.outcomes, key=lambda o: (o.l, o.n)):
         if engine == "closed_form":
             prob = _closed_form_probability(m, args.alpha, args.sign, o.l, o.n)
-            fid = _closed_form_fidelity(m, args.alpha, args.eta, minus_cat, cat_input, o)
+            fid = _closed_form_fidelity(m, args.alpha, args.eta, minus_cat, o)
             row = [str(o.l), str(o.n), _fmt(prob) if prob is not None else "",
                    o.correction, _fmt(fid) if fid is not None else ""]
         else:
@@ -226,7 +207,7 @@ def _closed_form_probability(m, alpha, sign, l, n):
     return None  # input-dependent branch, no universal closed form
 
 
-def _closed_form_fidelity(m, alpha, eta, minus_cat, cat_input, outcome):
+def _closed_form_fidelity(m, alpha, eta, minus_cat, outcome):
     if not outcome.is_success:
         return None
     if eta >= 1.0:

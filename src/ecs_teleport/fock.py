@@ -1,13 +1,14 @@
 """Independent engine in a truncated photon-number basis.
 
 Everything the closed-form coherent algebra computes is re-derived here from
-number-basis numerics: states become coefficient tensors over |n_1..n_M>,
-measurements become index slices, and a two-mode beam splitter with a real
-orthogonal 2x2 mode matrix (the 50/50 fold splitter, or the loss splitter
-that couples a mode to its environment) becomes the exponential of its
-truncated quadratic generator.  That generator keeps the total photon number
-N of the two modes fixed, so its exponential is one small unitary block per
-N, found by `np.linalg.eigh`.
+number-basis numerics.  A Fock state is a plain complex `np.ndarray` of
+coefficients over |n_1..n_M>, one axis per mode, so its shape is the per-mode
+truncation (cutoff + 1 levels each).  Measurements become index slices, and a
+two-mode beam splitter with a real orthogonal 2x2 mode matrix (the 50/50 fold
+splitter, or the loss splitter that couples a mode to its environment)
+becomes the exponential of its truncated quadratic generator.  That
+generator keeps the total photon number N of the two modes fixed, so its
+exponential is one small unitary block per N, found by `np.linalg.eigh`.
 
 `protocol_table` runs the whole protocol, loss included, in this basis.  It
 stores the state as a matrix-product state (MPS) over the site order
@@ -25,11 +26,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import CoherentState, UnsupportedStructureError
+from .channels import ChannelSpec, build_channel, build_input
 
 # largest per-mode photon cutoff the engine expands; one column at the cap takes 16 MiB
 MAX_CUTOFF = 2**20
@@ -89,33 +91,16 @@ def _half_log_factorials(size: int) -> np.ndarray:
     return table
 
 
-@dataclass
-class FockVector:
-    """Dense state tensor over per-mode truncated number bases."""
-
-    dims: tuple[int, ...]
-    data: np.ndarray
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.dims)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-
-def encode(state: CoherentState, cutoff: Union[int, Sequence[int], None] = None) -> FockVector:
+def encode(state: CoherentState, cutoff: int | Sequence[int]) -> np.ndarray:
     """Expand a pure coherent-label state in the truncated number basis.
 
-    `cutoff` is one photon-number cutoff for every mode, a per-mode sequence,
-    or None to apply the default cutoff rule per mode.  A cutoff below the rule
-    is allowed but triggers a warning when the truncation weight is large.
+    `cutoff` is one photon-number cutoff for every mode or a per-mode
+    sequence; the result has cutoff + 1 levels on each mode's axis.  A cutoff
+    below the default rule is allowed but triggers a warning when the
+    truncation weight is large.
     """
     modes = state.mode_count
-    beta_max = np.abs(state.labels).max(axis=0).tolist()
-    if cutoff is None:
-        cuts = [default_cutoff(b) for b in beta_max]
-    elif isinstance(cutoff, int):
+    if isinstance(cutoff, int):
         if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         cuts = [cutoff] * modes
@@ -123,6 +108,7 @@ def encode(state: CoherentState, cutoff: Union[int, Sequence[int], None] = None)
         cuts = list(cutoff)
         if len(cuts) != modes:
             raise ValueError("need one cutoff per mode")
+    beta_max = np.abs(state.labels).max(axis=0).tolist()
     for b, c in zip(beta_max, cuts):
         if poisson_tail(b, c) > 1e-6:
             warnings.warn(
@@ -130,20 +116,7 @@ def encode(state: CoherentState, cutoff: Union[int, Sequence[int], None] = None)
                 f"for amplitude {b:.3f}",
                 stacklevel=2,
             )
-    dims = tuple(c + 1 for c in cuts)
-    half = modes // 2
-    left = _branch_rows(state.labels[:, :half], dims[:half]) * state.coeffs[:, None]
-    right = _branch_rows(state.labels[:, half:], dims[half:])
-    return FockVector(dims, (left.T @ right).reshape(dims))
-
-
-def _branch_rows(labels: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """(K, prod(dims)) matrix whose row k is the flattened product tensor of branch k."""
-    rows = np.ones((len(labels), 1), dtype=complex)
-    for mode, d in enumerate(dims):
-        cols = np.array([coherent_column(a, d) for a in labels[:, mode].tolist()])
-        rows = (rows[:, :, None] * cols[:, None, :]).reshape(len(labels), -1)
-    return rows
+    return _contract(np.ones(1), _branch_sites(state.labels, state.coeffs, [c + 1 for c in cuts]))
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -224,61 +197,24 @@ def _apply_blocks(data: np.ndarray, i: int, j: int, blocks) -> np.ndarray:
     return out
 
 
-def bs_unitary(v: FockVector, i: int, j: int) -> FockVector:
+def bs_unitary(v: np.ndarray, i: int, j: int) -> np.ndarray:
     """Apply the 50/50 beam splitter to modes (i, j) of a Fock tensor."""
     if i == j:
         raise IndexError("beam splitter needs two distinct modes")
     for m in (i, j):
-        if not 0 <= m < v.mode_count:
+        if not 0 <= m < v.ndim:
             raise IndexError(f"mode {m} out of range")
-    return FockVector(v.dims, _apply_blocks(v.data, i, j, _bs_blocks(v.dims[i], v.dims[j])))
+    return _apply_blocks(v, i, j, _bs_blocks(v.shape[i], v.shape[j]))
 
 
-def measure_number(v: FockVector, mode: int, n: int) -> tuple[FockVector, float]:
+def measure_number(v: np.ndarray, mode: int, n: int) -> tuple[np.ndarray, float]:
     """Project `mode` onto |n>; returns the unnormalized remainder and probability."""
-    if not 0 <= mode < v.mode_count:
+    if not 0 <= mode < v.ndim:
         raise IndexError(f"mode {mode} out of range")
-    if not 0 <= n < v.dims[mode]:
-        raise ValueError(f"photon number {n} outside the cutoff {v.dims[mode] - 1}")
-    sliced = np.take(v.data, n, axis=mode)
-    dims = v.dims[:mode] + v.dims[mode + 1 :]
-    prob = float(np.vdot(sliced, sliced).real)
-    return FockVector(dims, sliced), prob
-
-
-def phase_pi(v: FockVector, modes: Sequence[int]) -> FockVector:
-    """Pi phase shifter exp(-i pi n) on the listed modes: parity phases."""
-    data = v.data
-    for m in sorted(set(modes)):
-        if not 0 <= m < v.mode_count:
-            raise IndexError(f"mode {m} out of range")
-        par = np.array([(-1.0) ** k for k in range(v.dims[m])])
-        shape = [1] * v.mode_count
-        shape[m] = v.dims[m]
-        data = data * par.reshape(shape)
-    return FockVector(v.dims, data)
-
-
-def inner(v: FockVector, w: FockVector) -> complex:
-    if v.dims != w.dims:
-        raise ValueError("Fock tensors have different shapes")
-    return complex(np.vdot(v.data, w.data))
-
-
-def single_mode_overlap(a: complex, b: complex, cutoff: int | None = None) -> complex:
-    """<a|b> evaluated as a truncated number-basis sum (no closed form used)."""
-    if cutoff is None:
-        cutoff = default_cutoff(max(abs(a), abs(b)))
-    d = cutoff + 1
-    return complex(np.vdot(coherent_column(a, d), coherent_column(b, d)))
-
-
-def product_overlap(amps_a: Sequence[complex], amps_b: Sequence[complex]) -> complex:
-    """Multimode <a|b> as a product of truncated single-mode sums."""
-    out = 1.0 + 0j
-    for a, b in zip(amps_a, amps_b):
-        out *= single_mode_overlap(a, b)
-    return out
+    if not 0 <= n < v.shape[mode]:
+        raise ValueError(f"photon number {n} outside the cutoff {v.shape[mode] - 1}")
+    sliced = np.take(v, n, axis=mode)
+    return sliced, float(np.vdot(sliced, sliced).real)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +257,7 @@ class ProtocolTable:
                 ref[o.l, o.n] = o.probability
         return np.abs(self.probabilities - ref)
 
-    def conditional_state(self, l: int, n: int) -> FockVector:
+    def conditional_state(self, l: int, n: int) -> np.ndarray:
         """Normalized state after the record (l, n), before any correction, as
         a dense tensor over Bob's m modes and then the m + 1 environment
         modes (one level each at eta = 1).  Tracing the environment gives
@@ -329,14 +265,11 @@ class ProtocolTable:
         dims = [site.shape[1] for site in self._right]
         if math.prod(dims) > MAX_DENSE_ENTRIES:
             raise ValueError("conditional state too large to hold densely")
-        data = self._pair[l, n]
-        for site in self._right:
-            data = np.tensordot(data, site, axes=1)
-        data = data.reshape(dims)
+        data = _contract(self._pair[l, n], self._right)
         # site order e_m, c_{m+1}, e_{m+1}, ...: Bob's modes sit at the odd sites
         order = list(range(1, len(dims), 2)) + list(range(0, len(dims), 2))
         data = np.transpose(data, order)
-        return FockVector(data.shape, data / np.linalg.norm(data))
+        return data / np.linalg.norm(data)
 
 
 def protocol_table(
@@ -365,8 +298,6 @@ def protocol_table(
     loss gate is the identity.  Every SVD drops the smallest singular values
     whose squares sum to at most ORACLE_TAIL.
     """
-    from .channels import ChannelSpec, build_channel, build_input  # channels imports fock
-
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     beta = math.sqrt(eta) * alpha
@@ -434,6 +365,17 @@ def _branch_sites(labels: np.ndarray, coeffs: np.ndarray, dims: Sequence[int]) -
     return sites
 
 
+def _contract(bond: np.ndarray, sites: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense tensor of an MPS whose last site has a right bond of one: `bond`
+    is the vector on the first site's left bond, and the result has one axis
+    per site."""
+    data = bond
+    for site in sites:
+        left = site.shape[0]
+        data = data.reshape(-1, left) @ site.reshape(left, -1)
+    return data.reshape([site.shape[1] for site in sites])
+
+
 def _split(theta: np.ndarray, centre_right: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """Split a two-site tensor by SVD, cutting the tail of weight <= ORACLE_TAIL;
     returns the two sites, the centre on the side asked for, and the cut weight."""
@@ -475,9 +417,12 @@ def reduce_to_qubits(
     lab1, lab2 = state.labels[branches]
 
     def basis_coeffs(side):
-        # branch overlaps via truncated sums; returns (t, u) with
-        # |branch2> = t |0> + u |1>, u = sqrt(1 - |t|^2)
-        t = product_overlap(lab1[list(side)].tolist(), lab2[list(side)].tolist())
+        # the branch overlap as a product of truncated single-mode sums;
+        # returns (t, u) with |branch2> = t |0> + u |1>, u = sqrt(1 - |t|^2)
+        t = 1.0 + 0j
+        for a, b in zip(lab1[list(side)].tolist(), lab2[list(side)].tolist()):
+            d = default_cutoff(max(abs(a), abs(b))) + 1
+            t *= complex(np.vdot(coherent_column(a, d), coherent_column(b, d)))
         usq = 1.0 - abs(t) ** 2
         if usq < 1e-14:
             raise UnsupportedStructureError(
@@ -526,3 +471,13 @@ def wootters_concurrence(rho2: np.ndarray) -> float:
     evals[evals < 1e-14] = 0.0
     lams = np.sqrt(evals)
     return float(max(0.0, lams[3] - lams[2] - lams[1] - lams[0]))
+
+
+def channel_concurrence_oracle(spec: ChannelSpec, partition) -> float:
+    """Wootters concurrence of the channel via the numeric qubit reduction."""
+    if isinstance(partition, int):
+        partition = (partition,)
+    part_a = tuple(sorted(set(partition)))
+    part_b = tuple(k for k in range(spec.m + 1) if k not in part_a)
+    rho2 = reduce_to_qubits(build_channel(spec), (part_a, part_b))
+    return wootters_concurrence(rho2)

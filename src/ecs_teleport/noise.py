@@ -12,7 +12,6 @@ protocol driver, `teleport.run_protocol`, sends its channel through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -21,34 +20,26 @@ from .algebra import CoherentState, check_modes, trace_out
 from .channels import ChannelSpec, build_channel
 
 
-@dataclass(frozen=True)
-class LossModel:
-    """Beam-splitter loss with energy transmissivity eta in [0, 1]."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-
-
 def apply_loss(
     state: CoherentState,
-    model: LossModel,
+    eta: float,
     modes: Optional[Iterable[int]] = None,
 ) -> CoherentState:
     """Send `state` through per-mode photon loss; returns a density operator.
 
-    Each lossy mode gets an environment mode holding sqrt(1-eta) of its
-    amplitude, keeps sqrt(eta) of it, and the environment is traced out.
+    `eta` is the energy transmissivity, in [0, 1].  Each lossy mode gets an
+    environment mode holding sqrt(1-eta) of its amplitude, keeps sqrt(eta) of
+    it, and the environment is traced out.
     Composing two losses multiplies the transmissivities (beam-splitter loss
     semigroup); eta=1 returns |state><state| (or the operator) unchanged.
     """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     count = state.mode_count
     modes = check_modes(count, range(count) if modes is None else modes)
     labels = state.labels.copy()
-    env = math.sqrt(1.0 - model.eta) * labels[:, modes]
-    labels[:, modes] *= math.sqrt(model.eta)
+    env = math.sqrt(1.0 - eta) * labels[:, modes]
+    labels[:, modes] *= math.sqrt(eta)
     joint = CoherentState(np.concatenate([labels, env], axis=1), state.coeffs)
     return trace_out(joint, range(count, count + len(modes)))
 
@@ -79,7 +70,7 @@ def channel_fidelity(alpha: complex, eta: float, m: int = 3) -> float:
 def lossy_channel_operator(m: int, alpha: complex, eta: float, sign: str = "minus") -> CoherentState:
     """The channel state after per-mode loss, as a unit-trace operator."""
     chan = build_channel(ChannelSpec(m=m, alpha=alpha, sign=sign))
-    return apply_loss(chan, LossModel(eta))
+    return apply_loss(chan, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ CORRECTIONS = ("none", "phase_only", "sign_only", "phase_plus_sign")
 
 # probability below which an outcome is treated as absent
 PROB_FLOOR = 1e-30
+# largest photon count the outcome table enumerates; its arrays grow with it
+MAX_N_MAX = 200_000
 
 
 class ProtocolOutcome(NamedTuple):
@@ -283,14 +285,19 @@ def run_protocol(
     leak probability into mixed (l>0, n>0) records.  At eta = 1 the loss is
     the identity and every corrected success outcome reproduces the input
     exactly (for the minus channel; the plus channel via the swapped parity
-    rules).
+    rules).  A default n_max above MAX_N_MAX is refused: the table would not
+    fit, and a truncated one would hide mass.
     """
     beta = transmitted_amplitude(alpha, eta)
+    if n_max is None:
+        n_max = default_n_max(m, beta)
+        if n_max > MAX_N_MAX:
+            raise ValueError(
+                f"outcome table needs photon counts up to {n_max} (limit {MAX_N_MAX}); lower m or alpha"
+            )
     inp = build_input(m, beta, kappa1, kappa2)
     joint = tensor(inp, lossy_channel_operator(m, alpha, eta, sign))
     folded = fold_network(joint, m)
-    if n_max is None:
-        n_max = default_n_max(m, beta)
     return enumerate_outcomes(folded, m, n_max, sign=sign, reference=inp)
 
 

@@ -25,7 +25,6 @@ from .algebra import (
 from .channels import (
     ChannelSpec,
     build_channel,
-    channel_concurrence_oracle,
     concurrence_closed_form,
     schmidt_coefficients,
 )
@@ -184,20 +183,20 @@ def oracle_equivalence(seed: int, trials: int) -> SuiteResult:
         x = _random_superposition(rng, modes, int(rng.integers(1, 5)))
         y = _random_superposition(rng, modes, int(rng.integers(1, 5)))
         fx, fy = fock.encode(x, cutoff), fock.encode(y, cutoff)
-        dev = abs(inner_product(x, y) - fock.inner(fx, fy))
+        dev = abs(inner_product(x, y) - np.vdot(fx, fy))
         worst = max(worst, dev)
         if modes >= 2:
             i, j = rng.choice(modes, size=2, replace=False)
             xb = beam_splitter(x, int(i), int(j))
             fxb = fock.bs_unitary(fx, int(i), int(j))
-            dev = abs(fock.inner(fock.encode(xb, cutoff), fxb) - 1.0)
+            dev = abs(np.vdot(fock.encode(xb, cutoff), fxb) - 1.0)
             worst = max(worst, dev)
         mode = int(rng.integers(0, modes))
         n = int(rng.integers(0, 4))
         _, p_coh = project_photon_number(x, mode, n)
         _, p_fock = fock.measure_number(fx, mode, n)
         worst = max(worst, abs(p_coh - p_fock))
-        dev = abs(abs(inner_product(x, y)) ** 2 - abs(fock.inner(fx, fy)) ** 2)
+        dev = abs(abs(inner_product(x, y)) ** 2 - abs(np.vdot(fx, fy)) ** 2)
         worst = max(worst, dev)
     return SuiteResult(
         "coherent-vs-fock equivalence",
@@ -250,7 +249,7 @@ def concurrence_cross_checks(seed: int = 0, trials: int = 0) -> SuiteResult:
             spec = ChannelSpec(3, alpha, sign)
             for lone in range(4):
                 closed = concurrence_closed_form(spec, lone)
-                oracle = channel_concurrence_oracle(spec, lone)
+                oracle = fock.channel_concurrence_oracle(spec, lone)
                 if abs(closed - oracle) > worst:
                     worst = abs(closed - oracle)
                     worst_case = f"alpha={alpha} sign={sign} mode={lone}"

@@ -47,7 +47,7 @@ def test_overlap_half_amplitude_against_fock_sum():
     # e^{-0.5} = 0.6065307; the number-basis sum must agree at cutoff 30
     closed = overlap(0.5, -0.5)
     assert abs(closed - math.exp(-0.5)) < 1e-12
-    summed = fock.single_mode_overlap(0.5, -0.5, cutoff=30)
+    summed = np.vdot(fock.coherent_column(0.5, 31), fock.coherent_column(-0.5, 31))
     assert abs(closed - summed) < 1e-12
 
 

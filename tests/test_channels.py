@@ -15,12 +15,12 @@ from ecs_teleport.channels import (
     build_channel,
     build_input,
     channel_amplitudes,
-    channel_concurrence_oracle,
     concurrence_closed_form,
     input_amplitudes,
     norm_constant,
     schmidt_coefficients,
 )
+from ecs_teleport.fock import channel_concurrence_oracle
 
 
 def test_channel_amplitude_ladder():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ecs_teleport import cli
+from ecs_teleport import cli, teleport
 
 
 def _teleport_table(capsys, argv):
@@ -37,7 +37,7 @@ def test_teleport_large_folded_amplitude(capsys):
 
 
 def test_teleport_warns_on_missing_mass(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "default_n_max", lambda m, alpha: 3)
+    monkeypatch.setattr(teleport, "default_n_max", lambda m, alpha: 3)
     code, probs, footer, err = _teleport_table(capsys, ["--m", "3", "--alpha", "1.5"])
     assert code == 0
     assert float(footer["total_probability"]) < 0.5

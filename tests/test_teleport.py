@@ -242,11 +242,13 @@ def _bob_fidelity(state, m, correction, reference):
     """<reference| rho |reference> for Bob's state after a `none` or
     `phase_only` correction; `state` is a Fock conditional state over Bob's m
     modes then the environment, which the partial trace removes."""
-    bob_dims = state.dims[:m]
+    bob_dims = state.shape[:m]
     if correction == "phase_only":
-        state = fock.phase_pi(state, range(m))
-    ref = fock.encode(reference, [d - 1 for d in bob_dims]).data.ravel()
-    amps = ref.conj() @ state.data.reshape(ref.size, -1)
+        # pi phase shifters exp(-i pi n) on Bob's modes: the sign (-1)^(n_1 + ... + n_m)
+        parity = (-1.0) ** np.indices(bob_dims).sum(axis=0)
+        state = state * parity.reshape(bob_dims + (1,) * (state.ndim - m))
+    ref = fock.encode(reference, [d - 1 for d in bob_dims]).ravel()
+    amps = ref.conj() @ state.reshape(ref.size, -1)
     return float(np.vdot(amps, amps).real)
 
 
@@ -262,7 +264,7 @@ def test_outcome_tables_agree_with_fock_engine(m, alpha):
             # the collapsed Fock state carries the engine's corrected Bob state
             bob = bob_state(folded, m, o.l, o.n, "minus")
             state = table.conditional_state(o.l, o.n)
-            assert state.dims[m:] == (1,) * (m + 1)  # no loss: the environment stays in vacuum
+            assert state.shape[m:] == (1,) * (m + 1)  # no loss: the environment stays in vacuum
             assert abs(_bob_fidelity(state, m, o.correction, bob) - 1.0) < 1e-6
 
 
@@ -276,7 +278,7 @@ def _dense_fock_table(m, alpha, k1, k2, sign):
     vec = fock.encode(joint, [math.ceil(x + 5.0 * math.sqrt(x + 1.0) + 4.0) for x in lam])
     for i, j in fold_pairs(m):
         vec = fock.bs_unitary(vec, i, j)
-    weights = np.moveaxis(np.abs(vec.data) ** 2, (m - 1, m), (0, 1))
+    weights = np.moveaxis(np.abs(vec) ** 2, (m - 1, m), (0, 1))
     return weights.reshape(weights.shape[0], weights.shape[1], -1).sum(axis=2)
 
 
