@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,10 +72,23 @@ def dedupe_index(labels: np.ndarray, tol: float = LABEL_TOL) -> tuple[np.ndarray
     return index, reps
 
 
+def half_log_factorials(count: int) -> np.ndarray:
+    """lgamma(n + 1) / 2 for n < count, a read-only view of a cached table."""
+    return _half_log_factorial_table(1 << (count - 1).bit_length())[:count]
+
+
+@lru_cache(maxsize=None)
+def _half_log_factorial_table(size: int) -> np.ndarray:
+    # sizes are powers of two, so a growing count rebuilds the table O(log) times
+    table = np.array([0.5 * math.lgamma(n + 1.0) for n in range(size)])
+    table.flags.writeable = False
+    return table
+
+
 def number_amplitudes(beta: np.ndarray, n_max: int) -> np.ndarray:
     """A[n, t] = <n|beta_t> for n = 0..n_max, in log space so large counts never overflow."""
     counts = np.arange(n_max + 1)
-    half_log_fact = 0.5 * np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
+    half_log_fact = half_log_factorials(n_max + 1)
     vacuum = beta == 0
     log_beta = np.log(np.where(vacuum, 1.0, beta))
     amps = np.exp(

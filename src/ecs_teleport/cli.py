@@ -25,7 +25,7 @@ from .channels import (
     norm_constant,
 )
 from .noise import channel_fidelity, teleported_fidelity_exact
-from .teleport import run_protocol, success_probability_closed_form
+from .teleport import CORRECTIONS, run_protocol, success_probability_closed_form
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
@@ -151,24 +151,28 @@ def cmd_teleport(args) -> int:
     engine = args.engine
     if engine == "all":
         oracle = fock.protocol_table(m, args.alpha, k1, k2, args.sign, args.eta)
-        deviations = oracle.deviations(report.outcomes)
+        deviations = oracle.deviations(report.l, report.n, report.probability)
     header = ["l", "n", "probability", "correction", "fidelity"]
     if engine == "all":
         header.append("engine_disagreement")
     rows = []
     cat_input = abs(abs(k1) - abs(k2)) < 1e-12 and abs((k1 * k2.conjugate()).imag) < 1e-12
     minus_cat = cat_input and (k1 * k2.conjugate()).real < 0
-    for o in sorted(report.outcomes, key=lambda o: (o.l, o.n)):
+    # the report's columns already run in (l, n) order
+    columns = (report.l.tolist(), report.n.tolist(), report.probability.tolist(),
+               report.correction.tolist(), report.fidelity.tolist())
+    for l, n, probability, code, fidelity in zip(*columns):
+        correction = CORRECTIONS[code]
         if engine == "closed_form":
-            prob = _closed_form_probability(m, args.alpha, args.sign, o.l, o.n)
-            fid = _closed_form_fidelity(m, args.alpha, args.eta, minus_cat, o)
-            row = [str(o.l), str(o.n), _fmt(prob) if prob is not None else "",
-                   o.correction, _fmt(fid) if fid is not None else ""]
+            prob = _closed_form_probability(m, args.alpha, args.sign, l, n)
+            fid = _closed_form_fidelity(m, args.alpha, args.eta, minus_cat, (l, n) != (0, 0))
+            row = [str(l), str(n), _fmt(prob) if prob is not None else "",
+                   correction, _fmt(fid) if fid is not None else ""]
         else:
-            row = [str(o.l), str(o.n), _fmt(o.probability), o.correction, _fmt(o.fidelity)]
+            row = [str(l), str(n), _fmt(probability), correction, _fmt(fidelity)]
         if engine == "all":
-            covered = o.l < deviations.shape[0] and o.n < deviations.shape[1]
-            row.append(_fmt(deviations[o.l, o.n]) if covered else "")
+            covered = l < deviations.shape[0] and n < deviations.shape[1]
+            row.append(_fmt(deviations[l, n]) if covered else "")
         rows.append(",".join(row))
     total = report.total_probability
     if 1.0 - total > MISSING_MASS_TOL:
@@ -207,8 +211,8 @@ def _closed_form_probability(m, alpha, sign, l, n):
     return None  # input-dependent branch, no universal closed form
 
 
-def _closed_form_fidelity(m, alpha, eta, minus_cat, outcome):
-    if not outcome.is_success:
+def _closed_form_fidelity(m, alpha, eta, minus_cat, success):
+    if not success:
         return None
     if eta >= 1.0:
         return 1.0
@@ -220,10 +224,11 @@ def _closed_form_fidelity(m, alpha, eta, minus_cat, outcome):
 def _max_odd_closed_form_dev(report, m, alpha, sign, eta):
     if sign != "minus" or eta < 1.0:
         return None
+    counts = report.l + report.n  # one of the two is 0 on every record
+    odd = counts % 2 == 1
     devs = [
-        abs(o.probability - success_probability_closed_form(m, alpha, "odd", max(o.l, o.n)))
-        for o in report.outcomes
-        if o.is_success and (o.l + o.n) % 2 == 1
+        abs(p - success_probability_closed_form(m, alpha, "odd", count))
+        for count, p in zip(counts[odd].tolist(), report.probability[odd].tolist())
     ]
     return max(devs) if devs else None
 

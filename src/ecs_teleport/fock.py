@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import CoherentState, UnsupportedStructureError
+from .algebra import CoherentState, UnsupportedStructureError, half_log_factorials
 from .channels import ChannelSpec, build_channel, build_input
 
 # largest per-mode photon cutoff the engine expands; one column at the cap takes 16 MiB
@@ -76,19 +76,10 @@ def coherent_column(alpha: complex, dim: int) -> np.ndarray:
         col[0] = 1.0
         return col
     n = np.arange(dim)
-    half_log_factorials = _half_log_factorials(1 << (dim - 1).bit_length())[:dim]
-    log_mag = n * math.log(r) - 0.5 * r * r - half_log_factorials
+    log_mag = n * math.log(r) - 0.5 * r * r - half_log_factorials(dim)
     turns = np.full(dim, complex(alpha) / r)
     turns[0] = 1.0
     return np.exp(log_mag) * np.cumprod(turns)
-
-
-@lru_cache(maxsize=None)
-def _half_log_factorials(size: int) -> np.ndarray:
-    """lgamma(n + 1) / 2 for n < size; callers ask for powers of two and slice."""
-    table = np.array([0.5 * math.lgamma(n + 1.0) for n in range(size)])
-    table.flags.writeable = False
-    return table
 
 
 def encode(state: CoherentState, cutoff: int | Sequence[int]) -> np.ndarray:
@@ -246,15 +237,14 @@ class ProtocolTable:
     # right-canonical sites e_m, c_{m+1}, e_{m+1}, ..., c_2m, e_2m
     _right: tuple[np.ndarray, ...]
 
-    def deviations(self, outcomes) -> np.ndarray:
-        """|probabilities - p| over the whole table, with p the `.probability`
-        of each of `outcomes` at its (`.l`, `.n`) and 0 at every other record;
-        outcomes outside the table are left out."""
+    def deviations(self, l: np.ndarray, n: np.ndarray, probability: np.ndarray) -> np.ndarray:
+        """|probabilities - p| over the whole table, with p the `probability`
+        of each record at its (`l`, `n`) and 0 at every other record; records
+        outside the table are left out."""
+        l, n, probability = np.asarray(l), np.asarray(n), np.asarray(probability)
         ref = np.zeros_like(self.probabilities)
-        rows, cols = ref.shape
-        for o in outcomes:
-            if o.l < rows and o.n < cols:
-                ref[o.l, o.n] = o.probability
+        inside = (l < ref.shape[0]) & (n < ref.shape[1])
+        ref[l[inside], n[inside]] = probability[inside]
         return np.abs(self.probabilities - ref)
 
     def conditional_state(self, l: int, n: int) -> np.ndarray:

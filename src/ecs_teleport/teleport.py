@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -71,21 +72,48 @@ class ProtocolOutcome(NamedTuple):
         return (self.l, self.n) != (0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolReport:
-    outcomes: tuple[ProtocolOutcome, ...]
+    """The outcome table as columns, one entry per kept record, in (l, n) order.
+
+    `l` and `n` are the photon counts on the folded input mode and the first
+    channel mode, `correction` the index into CORRECTIONS of Bob's correction
+    and `fidelity` that of his corrected state.  `success_probability` sums
+    every record except (0, 0); `mean_fidelity` is the probability-weighted
+    fidelity over those records.  `outcomes` gives the same table as rows.
+    """
+
+    l: np.ndarray
+    n: np.ndarray
+    probability: np.ndarray
+    correction: np.ndarray
+    fidelity: np.ndarray
     success_probability: float
     mean_fidelity: float
 
+    def __post_init__(self):
+        # read-only views, so the memoised `outcomes` rows cannot drift from the columns
+        for name in ("l", "n", "probability", "correction", "fidelity"):
+            column = np.asarray(getattr(self, name)).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @cached_property
+    def outcomes(self) -> tuple[ProtocolOutcome, ...]:
+        corrections = [CORRECTIONS[code] for code in self.correction.tolist()]
+        return tuple(map(
+            ProtocolOutcome, self.l.tolist(), self.n.tolist(), self.probability.tolist(),
+            corrections, self.fidelity.tolist(),
+        ))
+
     @property
     def total_probability(self) -> float:
-        return sum(o.probability for o in self.outcomes)
+        return sum(self.probability.tolist())
 
     def outcome(self, l: int, n: int) -> Optional[ProtocolOutcome]:
-        for o in self.outcomes:
-            if o.l == l and o.n == n:
-                return o
-        return None
+        """The record (l, n), or None when the table does not hold it."""
+        hits = np.flatnonzero((self.l == l) & (self.n == n))
+        return self.outcomes[hits[0]] if hits.size else None
 
 
 def fold_pairs(m: int) -> list[tuple[int, int]]:
@@ -114,25 +142,30 @@ def default_n_max(m: int, alpha: complex) -> int:
     return default_cutoff(2.0 ** (m / 2.0) * abs(alpha))
 
 
-def correction_for(l: int, n: int, channel_sign: str) -> str:
-    """Which correction makes the outcome carry the input exactly.
+def correction_codes(ls: np.ndarray, ns: np.ndarray, channel_sign: str) -> np.ndarray:
+    """Index into CORRECTIONS of the correction that makes each record (ls[i],
+    ns[i]) carry the input exactly.
 
     Minus channel: measuring n on the channel-side mode lands Bob on flipped
     branches, so odd n needs the pi phase shift alone and even n also the
     branch-sign flip; measuring l on the input-side mode leaves Bob upright,
     odd l needs nothing and even l only the sign flip.  The plus channel swaps
-    the parity roles.
+    the parity roles.  The record (0, 0) gets no correction.
     """
-    if (l, n) == (0, 0):
-        return "none"
-    parity_swap = channel_sign == "plus"
-    if l == 0 and n > 0:
-        direct = (n % 2 == 1) != parity_swap
-        return "phase_only" if direct else "phase_plus_sign"
-    if n == 0 and l > 0:
-        direct = (l % 2 == 1) != parity_swap
-        return "none" if direct else "sign_only"
-    raise ValueError("outcomes with both counts nonzero never occur")
+    ls, ns = np.asarray(ls), np.asarray(ns)
+    if np.any((ls < 0) | (ns < 0)):
+        raise ValueError("photon counts must be nonnegative")
+    if np.any((ls != 0) & (ns != 0)):
+        raise ValueError("outcomes with both counts nonzero never occur")
+    counts = ls + ns
+    phase = (ls == 0) & (counts > 0)
+    flip = (counts > 0) & ((counts % 2 == 1) == (channel_sign == "plus"))
+    return phase + 2 * flip
+
+
+def correction_for(l: int, n: int, channel_sign: str) -> str:
+    """The correction of the record (l, n); see `correction_codes`."""
+    return CORRECTIONS[int(correction_codes(l, n, channel_sign))]
 
 
 def _quadratic_forms(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -199,12 +232,13 @@ def enumerate_outcomes(
     Outcomes with both counts nonzero carry exactly zero probability because
     every branch of the folded state is exactly vacuum on one measured mode.
     Records below PROB_FLOOR are dropped.  Each outcome gets its correction
-    and the fidelity of Bob's corrected state to the pure `reference`.
+    code and the fidelity of Bob's corrected state to the pure `reference`.
     `success_probability` sums every outcome except (0, 0), whose
     conditional state is a branch mixture the protocol cannot repair;
     `mean_fidelity` is the probability-weighted fidelity over those success
-    outcomes.  The table holds numbers only: `bob_state` builds Bob's state
-    for any record.
+    outcomes.  The report holds the table as columns in (l, n) order, filled
+    straight from the arrays below with no per-record Python; `bob_state`
+    builds Bob's state for any record.
 
     Pure and operator states share one vectorized pass.  With C the folded
     coefficient matrix (c c^H for a pure state), f[r, t] = <l_r|a_t,m-1>
@@ -229,13 +263,15 @@ def enumerate_outcomes(
     f = number_amplitudes(amps[:, m - 1], n_max)[ls] * number_amplitudes(amps[:, m], n_max)[ns]
     probs = _quadratic_forms(f, coeffs * bob_gram.T)
     kept = np.flatnonzero(probs >= PROB_FLOOR)
-    ls, ns, f, probs = ls[kept].tolist(), ns[kept].tolist(), f[kept], probs[kept]
+    ls, ns, f, probs = ls[kept], ns[kept], f[kept], probs[kept]
 
-    corrections = [correction_for(l, n, sign) for l, n in zip(ls, ns)]
-    classes = np.array(corrections)
+    codes = correction_codes(ls, ns, sign)
     fidelity = np.empty(len(kept))
-    for what in dict.fromkeys(corrections):
-        rows = np.flatnonzero(classes == what)
+    # a fixed loop over the classes: np.unique would cost a cold CLI run ~10 ms on first use
+    for code, what in enumerate(CORRECTIONS):
+        rows = np.flatnonzero(codes == code)
+        if not rows.size:
+            continue
         corrected = -bob if what in ("phase_only", "phase_plus_sign") else bob
         signs = np.ones(len(reps))
         norms = probs[rows]
@@ -246,11 +282,11 @@ def enumerate_outcomes(
         overlaps = (reference.coeffs.conj() @ gram(reference.labels, corrected)) * signs
         fidelity[rows] = _quadratic_forms(f[rows] * overlaps[index], coeffs) / norms
 
-    outcomes = tuple(map(ProtocolOutcome, ls, ns, probs.tolist(), corrections, fidelity.tolist()))
-    succ = [o for o in outcomes if o.is_success]
-    p_succ = sum(o.probability for o in succ)
-    mean_f = sum(o.probability * o.fidelity for o in succ) / p_succ if p_succ > 0 else float("nan")
-    return ProtocolReport(outcomes, p_succ, mean_f)
+    # Python sums over .tolist() add in record order, as a sum over the rows would
+    succ = (ls != 0) | (ns != 0)
+    p_succ = sum(probs[succ].tolist())
+    mean_f = sum((probs * fidelity)[succ].tolist()) / p_succ if p_succ > 0 else float("nan")
+    return ProtocolReport(ls, ns, probs, codes, fidelity, p_succ, mean_f)
 
 
 def transmitted_amplitude(alpha: complex, eta: float) -> complex:

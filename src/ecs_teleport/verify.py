@@ -337,7 +337,8 @@ def lossy_protocol_oracle(seed: int = 0, trials: int = 0) -> SuiteResult:
     worst, worst_case = 0.0, ""
     for eta in (0.3, 0.6):
         rep = run_protocol(2, 1.0, k1, k2, "minus", eta=eta)
-        dev = float(fock.protocol_table(2, 1.0, k1, k2, "minus", eta).deviations(rep.outcomes).max())
+        table = fock.protocol_table(2, 1.0, k1, k2, "minus", eta)
+        dev = float(table.deviations(rep.l, rep.n, rep.probability).max())
         if dev >= worst:
             worst, worst_case = dev, f"m=2 alpha=1.0 eta={eta}"
     return SuiteResult(

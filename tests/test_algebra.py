@@ -18,8 +18,10 @@ from ecs_teleport.algebra import (
     dedupe,
     fidelity,
     gram,
+    half_log_factorials,
     inner_product,
     normalized,
+    number_amplitudes,
     overlap,
     phase_shift_pi,
     project_photon_number,
@@ -163,6 +165,25 @@ def test_project_single_mode_poisson_statistics():
         # independent number-basis check
         _, p_fock = fock.measure_number(fock.encode(x, 30), 0, n)
         assert abs(prob - p_fock) < 1e-9
+
+
+def test_half_log_factorials_are_exact():
+    table = half_log_factorials(4096)
+    assert table.tolist() == [0.5 * math.lgamma(n + 1) for n in range(4096)]
+    for count in (1, 2, 3, 100, 1025):
+        assert half_log_factorials(count).tolist() == table[:count].tolist()
+    assert not table.flags.writeable
+
+
+def test_number_amplitudes_reuse_the_cached_table(monkeypatch):
+    beta = np.array([0.7, -1.2j, 0.0])
+    warm = number_amplitudes(beta, 300)  # fills the 512-entry table
+
+    def no_lgamma(x):
+        raise AssertionError("lgamma called on a cached table")
+
+    monkeypatch.setattr(math, "lgamma", no_lgamma)
+    assert np.array_equal(number_amplitudes(beta, 511)[:301], warm)
 
 
 def test_project_rejects_negative_count():

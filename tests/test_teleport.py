@@ -13,8 +13,11 @@ from ecs_teleport.algebra import fidelity, project_photon_number, tensor
 from ecs_teleport.channels import ChannelSpec, build_channel, build_input
 from ecs_teleport.noise import channel_fidelity, lossy_channel_operator, teleported_fidelity_exact
 from ecs_teleport.teleport import (
+    CORRECTIONS,
     PROB_FLOOR,
+    ProtocolOutcome,
     bob_state,
+    correction_codes,
     correction_for,
     default_n_max,
     enumerate_outcomes,
@@ -102,6 +105,24 @@ def test_correction_rules():
     assert correction_for(4, 0, "plus") == "none"
     assert correction_for(3, 0, "plus") == "sign_only"
     assert correction_for(0, 0, "minus") == "none"
+    with pytest.raises(ValueError, match="both counts nonzero"):
+        correction_for(2, 3, "minus")
+
+
+@pytest.mark.parametrize("sign", ("minus", "plus"))
+def test_correction_codes_follow_the_documented_rule(sign):
+    counts = np.arange(41)
+    zeros = np.zeros_like(counts)
+    swap = sign == "plus"
+    # l on the input-side mode: odd l needs nothing (minus), even l the sign flip
+    expected_l = ["none" if c == 0 or (c % 2 == 1) != swap else "sign_only" for c in counts]
+    # n on the channel-side mode: always the phase, even n (minus) also the sign flip
+    expected_n = ["none" if c == 0 else "phase_only" if (c % 2 == 1) != swap
+                  else "phase_plus_sign" for c in counts]
+    assert [CORRECTIONS[k] for k in correction_codes(counts, zeros, sign)] == expected_l
+    assert [CORRECTIONS[k] for k in correction_codes(zeros, counts, sign)] == expected_n
+    assert [correction_for(int(c), 0, sign) for c in counts] == expected_l
+    assert [correction_for(0, int(c), sign) for c in counts] == expected_n
 
 
 @pytest.mark.parametrize("sign", ("minus", "plus"))
@@ -258,7 +279,7 @@ def test_outcome_tables_agree_with_fock_engine(m, alpha):
     rep = run_protocol(m, alpha, k1, k2, "minus", n_max=6)
     folded = fold_network(_joint(m, alpha, k1, k2, "minus"), m)
     table = fock.protocol_table(m, alpha, k1, k2, "minus")
-    assert np.max(table.deviations(rep.outcomes)[:7, :7]) < 1e-6
+    assert np.max(table.deviations(rep.l, rep.n, rep.probability)[:7, :7]) < 1e-6
     for o in rep.outcomes:
         if o.probability > 1e-8 and o.correction in ("none", "phase_only"):
             # the collapsed Fock state carries the engine's corrected Bob state
@@ -299,7 +320,7 @@ def test_lossy_outcome_tables_agree_with_fock_engine(m, eta):
     alpha = 0.9
     rep = run_protocol(m, alpha, k1, k2, "minus", eta=eta)
     table = fock.protocol_table(m, alpha, k1, k2, "minus", eta)
-    assert np.max(table.deviations(rep.outcomes)) < 1e-9
+    assert np.max(table.deviations(rep.l, rep.n, rep.probability)) < 1e-9
     assert abs(table.probabilities.sum() - 1.0) < 1e-9
     if m == 3:
         return  # the dense conditional state would hold ~1e8 entries
@@ -348,6 +369,33 @@ def test_kernel_matches_per_record_reference(m, sign, eta):
         assert o.correction == correction
         assert abs(o.probability - prob) < 1e-12
         assert abs(o.fidelity - fid) < 1e-12
+
+
+@pytest.mark.parametrize("m,alpha,sign,eta", [
+    (1, 0.3, "minus", 1.0), (3, 1.0, "plus", 1.0), (6, 2.0, "minus", 1.0),
+    (2, 1.0, "minus", 0.6), (3, 0.8, "plus", 0.3),
+])
+def test_report_columns_match_its_rows(m, alpha, sign, eta):
+    rep = run_protocol(m, alpha, 0.6 + 0.1j, -0.3 + 0.7j, sign, eta=eta)
+    columns = (rep.l, rep.n, rep.probability, rep.correction, rep.fidelity)
+    assert len({len(c) for c in columns}) == 1
+    assert not np.any(rep.l * rep.n)
+    # rows come in (l, n) order, which the CLI prints without sorting
+    keys = list(zip(rep.l.tolist(), rep.n.tolist()))
+    assert keys == sorted(set(keys))
+    rows = [ProtocolOutcome(*r) for r in zip(
+        rep.l.tolist(), rep.n.tolist(), rep.probability.tolist(),
+        [CORRECTIONS[k] for k in rep.correction.tolist()], rep.fidelity.tolist())]
+    assert list(rep.outcomes) == rows
+    assert all(rep.outcome(o.l, o.n) == o for o in rows)
+    assert rep.outcome(1, 1) is None and rep.outcome(0, len(rows) + 5) is None
+    succ = [o for o in rep.outcomes if o.is_success]
+    p_succ = sum(o.probability for o in succ)
+    assert rep.success_probability == p_succ
+    assert rep.mean_fidelity == sum(o.probability * o.fidelity for o in succ) / p_succ
+    assert rep.total_probability == sum(o.probability for o in rep.outcomes)
+    with pytest.raises(ValueError):
+        rep.probability[0] = 0.5  # the columns are read-only, so the rows cannot drift
 
 
 def test_kernel_rejects_non_vacuum_input_mode():
