@@ -1,23 +1,30 @@
 """Independent engine in a truncated photon-number basis.
 
 Everything the closed-form coherent algebra computes is re-derived here from
-number-basis numerics.  A Fock state is a plain complex `np.ndarray` of
-coefficients over |n_1..n_M>, one axis per mode, so its shape is the per-mode
-truncation (cutoff + 1 levels each).  Measurements become index slices, and a
-two-mode beam splitter with a real orthogonal 2x2 mode matrix (the 50/50 fold
-splitter, or the loss splitter that couples a mode to its environment)
-becomes the exponential of its truncated quadratic generator.  That
-generator keeps the total photon number N of the two modes fixed, so its
-exponential is one small unitary block per N, found by `np.linalg.eigh`.
+number-basis numerics.  A two-mode beam splitter with a real orthogonal 2x2
+mode matrix (the 50/50 fold splitter, or the loss splitter that couples a
+mode to its environment) becomes the exponential of its truncated quadratic
+generator.  That generator keeps the total photon number N of the two modes
+fixed, so its exponential is one small unitary block per N, found by
+`np.linalg.eigh`.
 
-`protocol_table` runs the whole protocol, loss included, in this basis.  It
-stores the state as a matrix-product state (MPS) over the site order
-[input m-1, ..., input 0, c_m, e_m, c_{m+1}, e_{m+1}, ...]: each channel mode
-c_k is followed by its environment mode e_k.  Every gate acts on two
-neighbouring sites, and an SVD after each gate keeps the bonds small (TEBD;
-Vidal, quant-ph/0301063; Schollwoeck, arXiv:1008.3477).  The branches enter
-only through `coherent_column`; no coherent-label identity is used, so the
-engine verifies the exact algebra independently.
+States are held in two forms.  The dense form, `encode`'s output, is a plain
+complex `np.ndarray` of coefficients over |n_1..n_M>, one axis per mode of
+cutoff + 1 levels; `bs_unitary` and `measure_number` act on it, and the tests
+use it as the reference.  Its size is (cutoff + 1)^M, so the checks that run
+in the CLI use the second form: a matrix-product state (MPS), a list of
+(left bond, levels, right bond) site tensors.  `_branch_sites` builds the MPS
+of a K-branch superposition with the branch as the bond, so no site is
+larger than K^2 (cutoff + 1); `mps_overlap` contracts two of them site by
+site, and `verify` checks the algebra on them.
+
+`protocol_table` runs the whole protocol, loss included, as an MPS over the
+site order [input m-1, ..., input 0, c_m, e_m, c_{m+1}, e_{m+1}, ...]: each
+channel mode c_k is followed by its environment mode e_k.  Every gate acts
+on two neighbouring sites, and an SVD after each gate keeps the bonds small
+(TEBD; Vidal, quant-ph/0301063; Schollwoeck, arXiv:1008.3477).  The branches
+enter only through `coherent_column`; no coherent-label identity is used, so
+the engine verifies the exact algebra independently.
 """
 
 from __future__ import annotations
@@ -63,23 +70,27 @@ def tail_cutoff(beta: complex, tail: float) -> int:
     return cutoff
 
 
-def coherent_column(alpha: complex, dim: int) -> np.ndarray:
+def coherent_column(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     """Truncated number-basis column of |alpha>, |c_n| = exp(-|alpha|^2/2 + n log|alpha| -
-    lgamma(n+1)/2) evaluated in log space, so that no factor under- or overflows."""
+    lgamma(n+1)/2) evaluated in log space, so that no factor under- or overflows.
+
+    An array of amplitudes gives one column per amplitude, on a new last axis.
+    """
     if dim - 1 > MAX_CUTOFF:
         raise ValueError(
             f"photon cutoff {dim - 1} exceeds the Fock engine's cap of {MAX_CUTOFF}; lower m or alpha"
         )
-    col = np.zeros(dim, dtype=complex)
-    r = abs(alpha)
-    if r == 0.0:
-        col[0] = 1.0
-        return col
-    n = np.arange(dim)
-    log_mag = n * math.log(r) - 0.5 * r * r - half_log_factorials(dim)
-    turns = np.full(dim, complex(alpha) / r)
-    turns[0] = 1.0
-    return np.exp(log_mag) * np.cumprod(turns)
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
+    # np.hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit
+    r = np.hypot(alpha.real, alpha.imag)
+    # the vacuum divides by 1, and its zero phase then empties every level past n = 0
+    unit = np.where(r == 0.0, 1.0, r)
+    log_mag = np.arange(dim) * np.log(unit) - 0.5 * r * r - half_log_factorials(dim)
+    # each part divided alone, as Python's complex-by-float division does
+    turns = np.empty(alpha.shape[:-1] + (dim,), dtype=complex)
+    turns.real, turns.imag = alpha.real / unit, alpha.imag / unit
+    turns[..., 0] = 1.0
+    return np.exp(log_mag) * np.cumprod(turns, axis=-1)
 
 
 def encode(state: CoherentState, cutoff: int | Sequence[int]) -> np.ndarray:
@@ -346,13 +357,23 @@ def protocol_table(
 def _branch_sites(labels: np.ndarray, coeffs: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """MPS of sum_k coeffs[k] prod_s |labels[k, s]>: the bond index is the branch."""
     eye = np.eye(len(coeffs))
-    sites = [
-        np.array([coherent_column(a, d) for a in col.tolist()])[:, :, None] * eye[:, None, :]
-        for col, d in zip(labels.T, dims)
-    ]
+    sites = [coherent_column(col, d)[:, :, None] * eye[:, None, :] for col, d in zip(labels.T, dims)]
     sites[0] = np.tensordot(coeffs, sites[0], axes=1)[None]
     sites[-1] = sites[-1].sum(axis=2, keepdims=True)
     return sites
+
+
+def mps_overlap(bra: Sequence[np.ndarray], ket: Sequence[np.ndarray]) -> complex:
+    """<bra|ket> of two MPSs over the same sites, each site a (left, d, right)
+    tensor and both ends bonds of one, contracted site by site: a site costs
+    about K_bra K_ket d (K_bra + K_ket), where the dense vectors hold prod d."""
+    env = np.ones((1, 1))
+    for b, k in zip(bra, ket, strict=True):
+        left, d, right = b.shape
+        # env[a, a'] k[a', s, c'] first, then conj(b)[a, s, c] over (a, s)
+        ket_side = (env @ k.reshape(k.shape[0], -1)).reshape(left * d, -1)
+        env = b.reshape(left * d, right).conj().T @ ket_side
+    return complex(env[0, 0])
 
 
 def _contract(bond: np.ndarray, sites: Sequence[np.ndarray]) -> np.ndarray:
@@ -411,8 +432,7 @@ def reduce_to_qubits(
         # returns (t, u) with |branch2> = t |0> + u |1>, u = sqrt(1 - |t|^2)
         t = 1.0 + 0j
         for a, b in zip(lab1[list(side)].tolist(), lab2[list(side)].tolist()):
-            d = default_cutoff(max(abs(a), abs(b))) + 1
-            t *= complex(np.vdot(coherent_column(a, d), coherent_column(b, d)))
+            t *= _truncated_overlap(a, b, default_cutoff(max(abs(a), abs(b))) + 1)
         usq = 1.0 - abs(t) ** 2
         if usq < 1e-14:
             raise UnsupportedStructureError(
@@ -428,6 +448,13 @@ def reduce_to_qubits(
     )
     nrm = np.vdot(x, x).real
     return np.outer(x, x.conjugate()) / nrm
+
+
+@lru_cache(maxsize=1024)
+def _truncated_overlap(a: complex, b: complex, dim: int) -> complex:
+    """<a|b> summed over the first `dim` levels.  Memoised, because the oracle
+    asks for the same mode's overlap once per bipartition."""
+    return complex(np.vdot(coherent_column(a, dim), coherent_column(b, dim)))
 
 
 _SY_SY = np.array(

@@ -170,7 +170,7 @@ def correction_for(l: int, n: int, channel_sign: str) -> str:
 
 def _quadratic_forms(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Re sum_st f[r, s] weights[s, t] conj(f[r, t]) for every row r of f."""
-    return np.einsum("rs,st,rt->r", f, weights, f.conj()).real
+    return np.einsum("rt,rt->r", f @ weights, f.conj()).real
 
 
 def _default_plus_amps(amps: np.ndarray) -> np.ndarray:

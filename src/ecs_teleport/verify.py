@@ -170,33 +170,59 @@ def _random_superposition(rng: np.random.Generator, modes: int, branches: int) -
     return normalized(superposition(pairs))
 
 
+def _fock_mps(state: CoherentState, order: list[int], dim: int) -> list[np.ndarray]:
+    """The Fock engine's branch MPS of `state`, its modes taken in `order`."""
+    return fock._branch_sites(state.labels[:, order], state.coeffs, [dim] * len(order))
+
+
+def _pair_as_site(sites: list[np.ndarray], pair: np.ndarray) -> list[np.ndarray]:
+    """`sites` with its first two sites replaced by the two-site tensor `pair`,
+    whose two levels are read as one."""
+    left, di, dj, right = pair.shape
+    return [pair.reshape(left, di * dj, right)] + sites[2:]
+
+
 def oracle_equivalence(seed: int, trials: int) -> SuiteResult:
     """Random states: inner products, beam splitters, measurements and
-    fidelities must agree between the exact algebra and the Fock engine."""
+    fidelities must agree between the exact algebra and the Fock engine.
+
+    The Fock side holds each state as the branch MPS `fock._branch_sites`
+    builds (one site per mode, the branch as the bond), so no array grows
+    past K^2 (cutoff + 1)^2 entries for K branches.  Overlaps contract two
+    MPSs site by site.  The beam splitter on modes (i, j) acts on the first
+    two sites of the MPS in the mode order [i, j, rest...], exactly, with no
+    SVD.  A photon count slices one site, and its probability is the squared
+    norm of what is left.
+    """
     rng = np.random.default_rng(seed)
     # amplitudes stay below 1.2 and one beam splitter at most, so a cutoff of
     # 18 keeps every per-mode Poisson tail under 1e-9
     cutoff = 18
+    d = cutoff + 1
     worst = 0.0
     for t in range(trials):
         modes = int(rng.integers(1, 5))
         x = _random_superposition(rng, modes, int(rng.integers(1, 5)))
         y = _random_superposition(rng, modes, int(rng.integers(1, 5)))
-        fx, fy = fock.encode(x, cutoff), fock.encode(y, cutoff)
-        dev = abs(inner_product(x, y) - np.vdot(fx, fy))
-        worst = max(worst, dev)
+        natural = list(range(modes))
+        fx, fy = _fock_mps(x, natural, d), _fock_mps(y, natural, d)
+        fock_xy = fock.mps_overlap(fx, fy)
+        worst = max(worst, abs(inner_product(x, y) - fock_xy))
         if modes >= 2:
-            i, j = rng.choice(modes, size=2, replace=False)
-            xb = beam_splitter(x, int(i), int(j))
-            fxb = fock.bs_unitary(fx, int(i), int(j))
-            dev = abs(np.vdot(fock.encode(xb, cutoff), fxb) - 1.0)
-            worst = max(worst, dev)
+            i, j = (int(k) for k in rng.choice(modes, size=2, replace=False))
+            order = [i, j] + [k for k in natural if k not in (i, j)]
+            fxo = _fock_mps(x, order, d)
+            pair = np.tensordot(fxo[0], fxo[1], axes=1)
+            fxb = _pair_as_site(fxo, fock._apply_blocks(pair, 1, 2, fock._bs_blocks(d, d)))
+            ref = _fock_mps(beam_splitter(x, i, j), order, d)
+            ref = _pair_as_site(ref, np.tensordot(ref[0], ref[1], axes=1))
+            worst = max(worst, abs(fock.mps_overlap(ref, fxb) - 1.0))
         mode = int(rng.integers(0, modes))
         n = int(rng.integers(0, 4))
         _, p_coh = project_photon_number(x, mode, n)
-        _, p_fock = fock.measure_number(fx, mode, n)
-        worst = max(worst, abs(p_coh - p_fock))
-        dev = abs(abs(inner_product(x, y)) ** 2 - abs(np.vdot(fx, fy)) ** 2)
+        sliced = fx[:mode] + [fx[mode][:, n : n + 1]] + fx[mode + 1 :]
+        worst = max(worst, abs(p_coh - fock.mps_overlap(sliced, sliced).real))
+        dev = abs(abs(inner_product(x, y)) ** 2 - abs(fock_xy) ** 2)
         worst = max(worst, dev)
     return SuiteResult(
         "coherent-vs-fock equivalence",

@@ -268,6 +268,64 @@ def test_measure_number_beyond_cutoff():
         fock.measure_number(v, 0, 11)
 
 
+# --- branch MPS against the dense reference ------------------------------------
+
+def test_coherent_column_stacks_one_column_per_amplitude():
+    alphas = np.array([0.0, 0.3, -1.2, 0.8 - 1.9j, 6.0, 1e-9j, 0.0])
+    dim = fock.default_cutoff(6.0) + 1
+    cols = fock.coherent_column(alphas, dim)
+    assert cols.shape == (len(alphas), dim)
+    for a, col in zip(alphas.tolist(), cols):
+        assert np.max(np.abs(col - fock.coherent_column(a, dim))) <= 1e-15
+    assert np.array_equal(cols[0], np.eye(dim)[0])
+
+
+def _mps(state, dims, order=None):
+    order = list(range(state.mode_count)) if order is None else order
+    return fock._branch_sites(state.labels[:, order], state.coeffs, [dims[k] for k in order])
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_mps_overlap_matches_the_dense_vdot(rng, modes):
+    cutoffs = [14, 11, 13, 12][:modes]
+    dims = [c + 1 for c in cutoffs]
+    for kx, ky in ((1, 1), (4, 2), (3, 4)):
+        x, y = random_state(rng, modes, kx), random_state(rng, modes, ky)
+        dense = np.vdot(fock.encode(x, cutoffs), fock.encode(y, cutoffs))
+        assert abs(fock.mps_overlap(_mps(x, dims), _mps(y, dims)) - dense) < 1e-13
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_two_site_splitter_matches_bs_unitary_on_every_pair(rng, modes):
+    cutoff, d = 10, 11
+    x = random_state(rng, modes, 4, amp_max=0.8)
+    dense = fock.encode(x, cutoff)
+    for i in range(modes):
+        for j in range(modes):
+            if i == j:
+                continue
+            order = [i, j] + [k for k in range(modes) if k not in (i, j)]
+            sites = _mps(x, [d] * modes, order)
+            pair = np.tensordot(sites[0], sites[1], axes=1)
+            pair = fock._apply_blocks(pair, 1, 2, fock._bs_blocks(d, d))
+            out = fock._contract(np.ones(1), [pair.reshape(1, d * d, -1)] + sites[2:])
+            out = np.transpose(out.reshape([d] * modes), np.argsort(order))
+            assert np.max(np.abs(out - fock.bs_unitary(dense, i, j))) < 1e-13
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_sliced_site_norm_matches_measure_number(rng, modes):
+    cutoff = 12
+    x = random_state(rng, modes, 3)
+    sites = _mps(x, [cutoff + 1] * modes)
+    dense = fock.encode(x, cutoff)
+    for mode in range(modes):
+        for n in range(5):
+            sliced = sites[:mode] + [sites[mode][:, n : n + 1]] + sites[mode + 1 :]
+            p = fock.mps_overlap(sliced, sliced)
+            assert abs(p - fock.measure_number(dense, mode, n)[1]) < 1e-13
+
+
 # --- Wootters concurrence -----------------------------------------------------
 
 def _bell():

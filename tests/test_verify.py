@@ -1,0 +1,57 @@
+"""The verify suites fail on a broken Fock engine and stay off its dense path."""
+
+import math
+import tracemalloc
+
+import pytest
+
+from ecs_teleport import fock, verify
+
+
+def _swapped_axes(apply_blocks):
+    return lambda data, i, j, blocks: apply_blocks(data, j, i, blocks)
+
+
+def _conjugated_columns(coherent_column):
+    return lambda alpha, dim: coherent_column(alpha, dim).conj()
+
+
+def _wrong_mode_matrix(bs_blocks):
+    s = 1.0 / math.sqrt(2.0)
+    return lambda di, dj, mode_matrix=fock.FIFTY_FIFTY: bs_blocks(di, dj, ((s, -s), (s, s)))
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        ("_apply_blocks", _swapped_axes),
+        ("coherent_column", _conjugated_columns),
+        ("_bs_blocks", _wrong_mode_matrix),
+    ],
+)
+def test_oracle_equivalence_fails_on_a_broken_engine(monkeypatch, name, mutate):
+    monkeypatch.setattr(fock, name, mutate(getattr(fock, name)))
+    result = verify.oracle_equivalence(0, 20)
+    assert not result.passed, result.detail
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("verify reached the dense Fock path")
+
+
+def test_verify_passes_without_the_dense_fock_path(monkeypatch):
+    for name in ("encode", "bs_unitary", "measure_number"):
+        monkeypatch.setattr(fock, name, _refuse)
+    results = verify.run_all(0, 50)
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+    # bytes of K^2 (cutoff + 1)^2 complex entries, K = 4 branches, cutoff 18:
+    # the largest array the suite may make.  A few live at once, where one
+    # dense 4-mode state would take 19^4 entries.
+    largest = 16 * 4**2 * 19**2
+    tracemalloc.start()
+    try:
+        verify.oracle_equivalence(0, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * largest
