@@ -9,6 +9,7 @@ from .algebra import (
     UnsupportedStructureError,
     beam_splitter,
     dedupe,
+    default_cutoff,
     fidelity,
     inner_product,
     norm,
@@ -33,7 +34,6 @@ from .channels import (
 from .fock import (
     bs_unitary,
     channel_concurrence_oracle,
-    default_cutoff,
     encode,
     measure_number,
     reduce_to_qubits,

@@ -12,6 +12,11 @@ fidelities then have closed forms built from the single-mode overlap
 so the whole calculus is exact up to floating point.  Coherent states carry
 the standard normalization exp(-|a|^2/2) in the photon-number basis; this is
 the only convention consistent with the overlap above.
+
+`number_amplitudes` gives a coherent label's photon-number amplitudes, and
+the Poisson truncation rule (`default_cutoff`, `poisson_tail`, `tail_cutoff`)
+says how many numbers to keep.  Both engines size their tables with it, so it
+lives here and the Fock engine imports it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,17 +76,23 @@ def dedupe_index(labels: np.ndarray, tol: float = LABEL_TOL) -> tuple[np.ndarray
     return index, reps
 
 
+# lgamma(n + 1) / 2 for n below a power of two, grown by `half_log_factorials`
+_half_log_factorial_table = np.zeros(0)
+_half_log_factorial_table.flags.writeable = False
+
+
 def half_log_factorials(count: int) -> np.ndarray:
     """lgamma(n + 1) / 2 for n < count, a read-only view of a cached table."""
-    return _half_log_factorial_table(1 << (count - 1).bit_length())[:count]
-
-
-@lru_cache(maxsize=None)
-def _half_log_factorial_table(size: int) -> np.ndarray:
-    # sizes are powers of two, so a growing count rebuilds the table O(log) times
-    table = np.array([0.5 * math.lgamma(n + 1.0) for n in range(size)])
-    table.flags.writeable = False
-    return table
+    global _half_log_factorial_table
+    table = _half_log_factorial_table
+    if count > len(table):
+        # grow to the next power of two, computing the new entries only
+        size = 1 << (count - 1).bit_length()
+        fresh = np.fromiter(map(math.lgamma, range(len(table) + 1, size + 1)), float)
+        table = np.concatenate([table, 0.5 * fresh])
+        table.flags.writeable = False
+        _half_log_factorial_table = table
+    return table[:count]
 
 
 def number_amplitudes(beta: np.ndarray, n_max: int) -> np.ndarray:
@@ -96,6 +106,32 @@ def number_amplitudes(beta: np.ndarray, n_max: int) -> np.ndarray:
     )
     amps[:, vacuum] = (counts == 0)[:, None]
     return amps
+
+
+def default_cutoff(beta_max: float) -> int:
+    """Per-mode photon cutoff keeping the Poisson tail of |beta_max|^2 below ~1e-10."""
+    lam = abs(beta_max) ** 2
+    return math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 20.0)
+
+
+def poisson_tail(beta: complex, cutoff: int) -> float:
+    """Upper bound on sum_{n>cutoff} e^{-|b|^2} |b|^{2n}/n! (truncation weight)."""
+    lam = abs(beta) ** 2
+    if lam == 0.0:
+        return 0.0
+    log_head = -lam + (cutoff + 1) * math.log(lam) - math.lgamma(cutoff + 2)
+    ratio = lam / (cutoff + 2)
+    if ratio >= 1.0:
+        return 1.0
+    return math.exp(log_head) / (1.0 - ratio)
+
+
+def tail_cutoff(beta: complex, tail: float) -> int:
+    """Smallest cutoff whose `poisson_tail` at beta is at most `tail`."""
+    cutoff = math.floor(abs(beta) ** 2)
+    while poisson_tail(beta, cutoff) > tail:
+        cutoff += 1
+    return cutoff
 
 
 @dataclass(frozen=True)

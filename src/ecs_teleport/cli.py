@@ -55,6 +55,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _fmt(value: float) -> str:
     if isinstance(value, float) and math.isnan(value):
         return ""
@@ -105,20 +115,26 @@ def _build_parser() -> _Parser:
     p_fig.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_ver = sub.add_parser("verify", help="run the self-verification suites")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.add_argument("--trials", type=int, default=50)
     p_ver.add_argument("--out", default=None)
     return parser
 
 
-def _range(spec, fallback: Sequence[float]) -> np.ndarray:
-    if spec is None:
-        return np.asarray(fallback, dtype=float)
-    a, b, n = float(spec[0]), float(spec[1]), int(spec[2])
+def _range(option: str, spec: Sequence[str]) -> np.ndarray:
+    """N points over [A, B] from the (A, B, N) strings given to `option`."""
+    try:
+        a, b = float(spec[0]), float(spec[1])
+    except ValueError:
+        a = b = math.nan
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"range ends must be finite, got {spec[0]} and {spec[1]}")
+        raise ValueError(f"{option}: range ends must be finite, got {spec[0]} and {spec[1]}")
+    try:
+        n = int(spec[2])
+    except ValueError:
+        raise ValueError(f"{option}: N must be an integer, got {spec[2]!r}") from None
     if n < 2:
-        raise ValueError("range needs at least 2 steps")
+        raise ValueError(f"{option}: range needs at least 2 steps")
     return np.linspace(a, b, n)
 
 
@@ -247,8 +263,10 @@ _FIGURE_DEFAULTS = {
 def cmd_figures(args) -> int:
     m_default, alphas, etas = _FIGURE_DEFAULTS[args.which]
     m = m_default if args.m is None else args.m
-    alphas = _range(args.alpha_range, alphas)
-    etas = _range(args.eta_range, etas)
+    if args.alpha_range is not None:
+        alphas = _range("--alpha-range", args.alpha_range)
+    if args.eta_range is not None:
+        etas = _range("--eta-range", args.eta_range)
     lines = ["alpha,eta,value"]
     for a in alphas:
         for e in etas:

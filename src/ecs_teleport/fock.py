@@ -13,10 +13,13 @@ complex `np.ndarray` of coefficients over |n_1..n_M>, one axis per mode of
 cutoff + 1 levels; `bs_unitary` and `measure_number` act on it, and the tests
 use it as the reference.  Its size is (cutoff + 1)^M, so the checks that run
 in the CLI use the second form: a matrix-product state (MPS), a list of
-(left bond, levels, right bond) site tensors.  `_branch_sites` builds the MPS
-of a K-branch superposition with the branch as the bond, so no site is
-larger than K^2 (cutoff + 1); `mps_overlap` contracts two of them site by
-site, and `verify` checks the algebra on them.
+(left bond, levels, right bond) site tensors.  Three public calls act on it,
+and `verify` checks the algebra with them alone: `branch_sites` builds the
+MPS of a K-branch superposition with the branch as the bond, so no site is
+larger than K^2 (cutoff + 1); `split_pair` applies a beam splitter to the
+two levels of a two-site tensor; `mps_overlap` contracts two MPSs site by
+site.  The per-mode cutoffs come from the Poisson truncation rule in
+`algebra` (`default_cutoff`, `tail_cutoff`).
 
 `protocol_table` runs the whole protocol, loss included, as an MPS over the
 site order [input m-1, ..., input 0, c_m, e_m, c_{m+1}, e_{m+1}, ...]: each
@@ -37,37 +40,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import CoherentState, UnsupportedStructureError, half_log_factorials
+from .algebra import (
+    CoherentState,
+    UnsupportedStructureError,
+    default_cutoff,
+    half_log_factorials,
+    poisson_tail,
+    tail_cutoff,
+)
 from .channels import ChannelSpec, build_channel, build_input
 
 # largest per-mode photon cutoff the engine expands; one column at the cap takes 16 MiB
 MAX_CUTOFF = 2**20
-
-
-def default_cutoff(beta_max: float) -> int:
-    """Per-mode photon cutoff keeping the Poisson tail of |beta_max|^2 below ~1e-10."""
-    lam = abs(beta_max) ** 2
-    return math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 20.0)
-
-
-def poisson_tail(beta: complex, cutoff: int) -> float:
-    """Upper bound on sum_{n>cutoff} e^{-|b|^2} |b|^{2n}/n! (truncation weight)."""
-    lam = abs(beta) ** 2
-    if lam == 0.0:
-        return 0.0
-    log_head = -lam + (cutoff + 1) * math.log(lam) - math.lgamma(cutoff + 2)
-    ratio = lam / (cutoff + 2)
-    if ratio >= 1.0:
-        return 1.0
-    return math.exp(log_head) / (1.0 - ratio)
-
-
-def tail_cutoff(beta: complex, tail: float) -> int:
-    """Smallest cutoff whose `poisson_tail` at beta is at most `tail`."""
-    cutoff = math.floor(abs(beta) ** 2)
-    while poisson_tail(beta, cutoff) > tail:
-        cutoff += 1
-    return cutoff
 
 
 def coherent_column(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
@@ -118,7 +102,7 @@ def encode(state: CoherentState, cutoff: int | Sequence[int]) -> np.ndarray:
                 f"for amplitude {b:.3f}",
                 stacklevel=2,
             )
-    return _contract(np.ones(1), _branch_sites(state.labels, state.coeffs, [c + 1 for c in cuts]))
+    return _contract(np.ones(1), branch_sites(state.labels, state.coeffs, [c + 1 for c in cuts]))
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -197,6 +181,12 @@ def _apply_blocks(data: np.ndarray, i: int, j: int, blocks) -> np.ndarray:
         shell = src[mu, nu]
         dst[mu, nu] = (u @ shell.reshape(len(mu), -1)).reshape(shell.shape)
     return out
+
+
+def split_pair(theta: np.ndarray, mode_matrix=FIFTY_FIFTY) -> np.ndarray:
+    """Apply the beam splitter with `mode_matrix` (FIFTY_FIFTY or a
+    `loss_matrix`) to the two levels of a (left, di, dj, right) two-site tensor."""
+    return _apply_blocks(theta, 1, 2, _bs_blocks(theta.shape[1], theta.shape[2], mode_matrix))
 
 
 def bs_unitary(v: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -318,7 +308,7 @@ def protocol_table(
             f"exceeds {MAX_PAIR_LEVELS}; lower m or alpha"
         )
     env = np.zeros_like(chan.labels)
-    sites = _branch_sites(inp.labels[:, ::-1], inp.coeffs, dims[:m]) + _branch_sites(
+    sites = branch_sites(inp.labels[:, ::-1], inp.coeffs, dims[:m]) + branch_sites(
         np.stack([chan.labels, env], 2).reshape(len(env), -1), chan.coeffs, dims[m:]
     )
 
@@ -335,17 +325,17 @@ def protocol_table(
     for i in range(len(sites) - 2, -1, -1):
         theta = np.tensordot(sites[i], sites[i + 1], axes=1)
         if i >= m and (i - m) % 2 == 0:  # (c_k, e_k)
-            theta = _apply_blocks(theta, 1, 2, _bs_blocks(theta.shape[1], theta.shape[2], loss))
+            theta = split_pair(theta, loss)
         sites[i], sites[i + 1], cut = _split(theta, centre_right=False)
         discarded += cut
     # left to right: fold the accumulator into input m-2, ..., 0, carrying the centre
     for i in range(m - 1):
         theta = np.tensordot(sites[i], sites[i + 1], axes=1)
-        theta = _apply_blocks(theta, 1, 2, _bs_blocks(theta.shape[1], theta.shape[2]))
+        theta = split_pair(theta)
         sites[i], sites[i + 1], cut = _split(theta.swapaxes(1, 2), centre_right=True)
         discarded += cut
     pair = np.tensordot(sites[m - 1], sites[m], axes=1)
-    pair = _apply_blocks(pair, 1, 2, _bs_blocks(pair.shape[1], pair.shape[2]))
+    pair = split_pair(pair)
     probs = np.einsum("alnc,alnc->ln", pair, pair.conj()).real
 
     vacuum = np.ones(1)
@@ -354,7 +344,7 @@ def protocol_table(
     return ProtocolTable(probs, discarded, np.tensordot(vacuum, pair, axes=1), tuple(sites[m + 1 :]))
 
 
-def _branch_sites(labels: np.ndarray, coeffs: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+def branch_sites(labels: np.ndarray, coeffs: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """MPS of sum_k coeffs[k] prod_s |labels[k, s]>: the bond index is the branch."""
     eye = np.eye(len(coeffs))
     sites = [coherent_column(col, d)[:, :, None] * eye[:, None, :] for col, d in zip(labels.T, dims)]

@@ -32,6 +32,7 @@ from .algebra import (
     UnsupportedStructureError,
     beam_splitter,
     dedupe_index,
+    default_cutoff,
     gram,
     normalized,
     number_amplitudes,
@@ -40,7 +41,6 @@ from .algebra import (
     tensor,
 )
 from .channels import build_input
-from .fock import default_cutoff
 from .noise import lossy_channel_operator
 
 # Corrections Bob may apply after hearing (l, n):

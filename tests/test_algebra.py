@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecs_teleport import fock
+from ecs_teleport import algebra, fock
 from ecs_teleport.algebra import (
     CoherentState,
     DimensionMismatchError,
@@ -167,12 +167,22 @@ def test_project_single_mode_poisson_statistics():
         assert abs(prob - p_fock) < 1e-9
 
 
-def test_half_log_factorials_are_exact():
+def test_half_log_factorials_are_exact(monkeypatch):
     table = half_log_factorials(4096)
     assert table.tolist() == [0.5 * math.lgamma(n + 1) for n in range(4096)]
     for count in (1, 2, 3, 100, 1025):
         assert half_log_factorials(count).tolist() == table[:count].tolist()
     assert not table.flags.writeable
+    # a table grown in steps holds the bits of one cold build
+    empty = np.zeros(0)
+    monkeypatch.setattr(algebra, "_half_log_factorial_table", empty)
+    cold = half_log_factorials(70000)
+    monkeypatch.setattr(algebra, "_half_log_factorial_table", empty)
+    for count in (5, 4096, 70000):
+        grown = half_log_factorials(count)
+        assert len(grown) == count and not grown.flags.writeable
+    assert grown.tolist() == cold.tolist()
+    assert cold.tolist() == [0.5 * math.lgamma(n + 1) for n in range(70000)]
 
 
 def test_number_amplitudes_reuse_the_cached_table(monkeypatch):

@@ -100,12 +100,19 @@ def _exit_code(argv):
     ["teleport", "--kappa1-re", "inf"],
     ["figures", "fig2", "--eta-range", "0", "nan", "3"],
     ["figures", "fig1", "--alpha-range", "0", "inf", "3"],
+    ["figures", "fig1", "--alpha-range", "0", "y", "3"],
+    # NumPy's "expected non-negative integer" and int()'s "invalid literal" named no option
+    ["verify", "--seed", "-1"],
+    ["figures", "fig1", "--alpha-range", "0", "1", "x"],
 ])
 def test_non_finite_input_is_a_usage_error(capsys, argv):
     assert _exit_code(argv) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err and "finite" in captured.err
+    # the message names the option and what its value must be
+    option = [a for a in argv if a.startswith("--")][-1]
+    must = "integer" if argv[-1] in ("-1", "x") else "finite"
+    assert "error:" in captured.err and option in captured.err and must in captured.err
     assert "Traceback" not in captured.err
 
 

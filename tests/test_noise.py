@@ -3,6 +3,7 @@ re-simulated end to end with dense density matrices in the number basis,
 including the environment trace, as a fully independent check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ecs_teleport.teleport import (
     run_protocol,
     teleport_through_noise,
 )
-from ecs_teleport.verify import adjudicate_teleported_fidelity, teleported_fidelity_closed_form
+from ecs_teleport.verify import noisy_fidelity_adjudication, teleported_fidelity_closed_form
 from conftest import random_state
 
 
@@ -310,23 +311,25 @@ def test_dense_simulation_confirms_exact_closed_form():
 # --- closed-form candidates and adjudication ---------------------------------------
 
 def test_closed_form_candidates_at_unit_transmissivity():
-    forms = teleported_fidelity_closed_form(3, 1.2, 1.0)
-    assert abs(forms.flat - 1.0) < 1e-12
-    assert abs(forms.alpha_scaled - 1.0) < 1e-12
-    assert abs(forms.exact - 1.0) < 1e-12
+    flat, scaled = teleported_fidelity_closed_form(3, 1.2, 1.0)
+    assert abs(flat - 1.0) < 1e-12
+    assert abs(scaled - 1.0) < 1e-12
+    assert abs(teleported_fidelity_exact(3, 1.2, 1.0) - 1.0) < 1e-12
 
 
 def test_candidates_differ_away_from_unit_alpha():
-    forms = teleported_fidelity_closed_form(3, 2.0, 0.6)
-    assert abs(forms.flat - forms.alpha_scaled) > 1e-3
-    assert forms.closest == "alpha_scaled"
+    flat, scaled = teleported_fidelity_closed_form(3, 2.0, 0.6)
+    exact = teleported_fidelity_exact(3, 2.0, 0.6)
+    assert abs(flat - scaled) > 1e-3
+    assert abs(scaled - exact) < abs(flat - exact)
 
 
 def test_adjudication_selects_alpha_scaled_variant():
-    adj = adjudicate_teleported_fidelity()
-    assert adj.winner == "alpha_scaled"
-    assert adj.max_dev_alpha_scaled < 1e-6
-    assert adj.max_dev_flat > 1e-3
+    result = noisy_fidelity_adjudication()
+    assert result.passed, result.detail
+    dev = re.search(r"alpha-scaled dev (\S+), flat dev (\S+);", result.detail)
+    assert float(dev.group(1)) < 1e-6
+    assert float(dev.group(2)) > 1e-3
 
 
 def test_exact_form_tracks_engine_outside_adjudication_grid():

@@ -1,4 +1,5 @@
-"""The verify suites fail on a broken Fock engine and stay off its dense path."""
+"""The verify suites fail on a broken Fock engine or a broken adjudication, and
+stay off the Fock engine's dense path."""
 
 import math
 import tracemalloc
@@ -32,6 +33,32 @@ def _wrong_mode_matrix(bs_blocks):
 def test_oracle_equivalence_fails_on_a_broken_engine(monkeypatch, name, mutate):
     monkeypatch.setattr(fock, name, mutate(getattr(fock, name)))
     result = verify.oracle_equivalence(0, 20)
+    assert not result.passed, result.detail
+
+
+def _wrong_split_pair(split_pair):
+    s = 1.0 / math.sqrt(2.0)
+    return lambda theta, mode_matrix=fock.FIFTY_FIFTY: split_pair(theta, ((s, -s), (s, s)))
+
+
+@pytest.mark.parametrize("suite", ["oracle_equivalence", "lossy_protocol_oracle"])
+def test_fock_suites_fail_on_a_wrong_split_pair(monkeypatch, suite):
+    monkeypatch.setattr(fock, "split_pair", _wrong_split_pair(fock.split_pair))
+    result = getattr(verify, suite)(0, 20)
+    assert not result.passed, result.detail
+
+
+def test_adjudication_fails_on_swapped_variants(monkeypatch):
+    forms = verify.teleported_fidelity_closed_form
+    monkeypatch.setattr(verify, "teleported_fidelity_closed_form", lambda m, a, e: forms(m, a, e)[::-1])
+    result = verify.noisy_fidelity_adjudication()
+    assert not result.passed, result.detail
+
+
+def test_adjudication_fails_on_a_shifted_exact_form(monkeypatch):
+    exact = verify.teleported_fidelity_exact
+    monkeypatch.setattr(verify, "teleported_fidelity_exact", lambda m, a, e: exact(m, a, e) + 1e-8)
+    result = verify.noisy_fidelity_adjudication()
     assert not result.passed, result.detail
 
 
