@@ -76,7 +76,7 @@ def dedupe_index(labels: np.ndarray, tol: float = LABEL_TOL) -> tuple[np.ndarray
     return index, reps
 
 
-# lgamma(n + 1) / 2 for n below a power of two, grown by `half_log_factorials`
+# lgamma(n + 1) / 2 for n below the largest count asked for, grown by `half_log_factorials`
 _half_log_factorial_table = np.zeros(0)
 _half_log_factorial_table.flags.writeable = False
 
@@ -86,9 +86,8 @@ def half_log_factorials(count: int) -> np.ndarray:
     global _half_log_factorial_table
     table = _half_log_factorial_table
     if count > len(table):
-        # grow to the next power of two, computing the new entries only
-        size = 1 << (count - 1).bit_length()
-        fresh = np.fromiter(map(math.lgamma, range(len(table) + 1, size + 1)), float)
+        # grow to `count`, computing the new entries only
+        fresh = np.fromiter(map(math.lgamma, range(len(table) + 1, count + 1)), float)
         table = np.concatenate([table, 0.5 * fresh])
         table.flags.writeable = False
         _half_log_factorial_table = table

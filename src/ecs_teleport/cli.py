@@ -1,7 +1,9 @@
 """Command-line front end: channel reports, protocol runs, figure-data sweeps
 and the self-verification suite.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure.  All CSV output
+Exit codes: 0 success, 1 usage error, 2 verification failure: a failed
+`verify` suite, or a `teleport --engine all` record on which the two engines
+differ by more than 1e-6 (the table is still written).  All CSV output
 is UTF-8 with a header row, values at 9 significant digits, rows ordered
 lexicographically, so byte-for-byte determinism holds for a fixed invocation.
 """
@@ -31,6 +33,11 @@ USAGE_ERROR = 1
 VERIFY_ERROR = 2
 # outcome mass the teleport table may miss before it warns on stderr
 MISSING_MASS_TOL = 1e-9
+# largest per-record deviation `teleport --engine all` accepts between the
+# engines; `verify` holds its oracle suites to the same bar
+ORACLE_TOL = 1e-6
+# the closed forms scale |alpha|^2 by 2^(m+1), which overflows a double beyond this m
+MAX_MODES = 1022
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,36 +171,40 @@ def cmd_teleport(args) -> int:
     k1 = complex(args.kappa1_re, args.kappa1_im)
     k2 = complex(args.kappa2_re, args.kappa2_im)
     report = run_protocol(m, args.alpha, k1, k2, args.sign, eta=args.eta)
-    engine = args.engine
-    if engine == "all":
+    if args.engine == "all":
         oracle = fock.protocol_table(m, args.alpha, k1, k2, args.sign, args.eta)
         deviations = oracle.deviations(report.l, report.n, report.probability)
-    header = ["l", "n", "probability", "correction", "fidelity"]
-    if engine == "all":
-        header.append("engine_disagreement")
-    rows = []
-    cat_input = abs(abs(k1) - abs(k2)) < 1e-12 and abs((k1 * k2.conjugate()).imag) < 1e-12
-    minus_cat = cat_input and (k1 * k2.conjugate()).real < 0
-    # the report's columns already run in (l, n) order
-    columns = (report.l.tolist(), report.n.tolist(), report.probability.tolist(),
-               report.correction.tolist(), report.fidelity.tolist())
-    for l, n, probability, code, fidelity in zip(*columns):
-        correction = CORRECTIONS[code]
-        if engine == "closed_form":
-            prob = _closed_form_probability(m, args.alpha, args.sign, l, n)
-            fid = _closed_form_fidelity(m, args.alpha, args.eta, minus_cat, (l, n) != (0, 0))
-            row = [str(l), str(n), _fmt(prob) if prob is not None else "",
-                   correction, _fmt(fid) if fid is not None else ""]
-        else:
-            row = [str(l), str(n), _fmt(probability), correction, _fmt(fidelity)]
-        if engine == "all":
-            covered = l < deviations.shape[0] and n < deviations.shape[1]
-            row.append(_fmt(deviations[l, n]) if covered else "")
-        rows.append(",".join(row))
     total = report.total_probability
     if 1.0 - total > MISSING_MASS_TOL:
         print(f"warning: outcome probabilities sum to {total!r}; "
               f"{1.0 - total:.3g} of the mass is missing", file=sys.stderr)
+    counts = report.l + report.n  # one of the two is 0 on every record
+    # the lossless closed form on parity-matched records (odd counts on the
+    # minus channel, even counts on the plus channel) and NaN, a blank cell,
+    # elsewhere; at eta < 1 it is not this run's probability, so all NaN
+    matched = (counts > 0) & (counts % 2 == (args.sign == "minus"))
+    closed = np.full(len(counts), math.nan)
+    if args.eta == 1.0:
+        parity = "odd" if args.sign == "minus" else "even"
+        closed[matched] = [success_probability_closed_form(m, args.alpha, parity, count)
+                           for count in counts[matched].tolist()]
+    probability, fidelity = report.probability, report.fidelity
+    if args.engine == "closed_form":
+        cross = k1 * k2.conjugate()
+        minus_cat = abs(abs(k1) - abs(k2)) < 1e-12 and abs(cross.imag) < 1e-12 and cross.real < 0
+        fid = teleported_fidelity_exact(m, args.alpha, args.eta) if minus_cat else math.nan
+        probability = closed
+        fidelity = np.where(counts > 0, 1.0 if args.eta == 1.0 else fid, math.nan)
+    header = ["l", "n", "probability", "correction", "fidelity"]
+    # the report's columns already run in (l, n) order
+    columns = [report.l.tolist(), report.n.tolist(), map(_fmt, probability.tolist()),
+               np.asarray(CORRECTIONS)[report.correction].tolist(), map(_fmt, fidelity.tolist())]
+    if args.engine == "all":
+        covered = (report.l < deviations.shape[0]) & (report.n < deviations.shape[1])
+        disagreement = np.full(len(counts), math.nan)
+        disagreement[covered] = deviations[report.l[covered], report.n[covered]]
+        header.append("engine_disagreement")
+        columns.append(map(_fmt, disagreement.tolist()))
     footer = [
         ("total_probability", total),
         ("success_probability", report.success_probability),
@@ -201,52 +212,23 @@ def cmd_teleport(args) -> int:
         ("closed_form_odd_aggregate", success_probability_closed_form(m, args.alpha, "odd")),
         ("closed_form_even_aggregate_squared", success_probability_closed_form(m, args.alpha, "even")),
     ]
-    odd_dev = _max_odd_closed_form_dev(report, m, args.alpha, args.sign, args.eta)
-    if odd_dev is not None:
+    if args.sign == "minus" and args.eta == 1.0 and matched.any():
+        odd_dev = np.abs(report.probability[matched] - closed[matched]).max()
         footer.append(("max_odd_outcome_closed_form_deviation", odd_dev))
-    if engine == "all":
+    if args.engine == "all":
         footer.append(("oracle_max_disagreement", float(deviations.max())))
         footer.append(("oracle_discarded_weight", oracle.discarded_weight))
     pad = [""] * (len(header) - 2)
     lines = [",".join(header)]
-    lines += rows
+    lines += [",".join(map(str, row)) for row in zip(*columns)]
     lines += [",".join([name, _fmt(val)] + pad) for name, val in footer]
     _write(args.out, "\n".join(lines) + "\n")
+    if args.engine == "all" and deviations.max() > ORACLE_TOL:
+        l, n = np.unravel_index(deviations.argmax(), deviations.shape)
+        print(f"error: the engines disagree by {deviations.max():.3g} at (l, n) = ({l}, {n}), "
+              f"above the bar {ORACLE_TOL:g}", file=sys.stderr)
+        return VERIFY_ERROR
     return 0
-
-
-def _closed_form_probability(m, alpha, sign, l, n):
-    count = n if l == 0 else l
-    if count == 0:
-        return None
-    odd = count % 2 == 1
-    if sign == "minus" and odd:
-        return success_probability_closed_form(m, alpha, "odd", count)
-    if sign == "plus" and not odd:
-        return success_probability_closed_form(m, alpha, "even", count)
-    return None  # input-dependent branch, no universal closed form
-
-
-def _closed_form_fidelity(m, alpha, eta, minus_cat, success):
-    if not success:
-        return None
-    if eta >= 1.0:
-        return 1.0
-    if minus_cat:
-        return teleported_fidelity_exact(m, alpha, eta)
-    return None
-
-
-def _max_odd_closed_form_dev(report, m, alpha, sign, eta):
-    if sign != "minus" or eta < 1.0:
-        return None
-    counts = report.l + report.n  # one of the two is 0 on every record
-    odd = counts % 2 == 1
-    devs = [
-        abs(p - success_probability_closed_form(m, alpha, "odd", count))
-        for count, p in zip(counts[odd].tolist(), report.probability[odd].tolist())
-    ]
-    return max(devs) if devs else None
 
 
 _FIGURE_DEFAULTS = {
@@ -267,14 +249,10 @@ def cmd_figures(args) -> int:
         alphas = _range("--alpha-range", args.alpha_range)
     if args.eta_range is not None:
         etas = _range("--eta-range", args.eta_range)
-    lines = ["alpha,eta,value"]
-    for a in alphas:
-        for e in etas:
-            if args.which == "fig1":
-                v = channel_fidelity(a, e, m=m)
-            else:
-                v = teleported_fidelity_exact(m, a, e)
-            lines.append(f"{_fmt(a)},{_fmt(e)},{_fmt(v)}")
+    a, e = np.meshgrid(alphas, etas, indexing="ij")
+    v = channel_fidelity(a, e, m=m) if args.which == "fig1" else teleported_fidelity_exact(m, a, e)
+    cells = zip(*(grid.ravel().tolist() for grid in (a, e, v)))
+    lines = ["alpha,eta,value"] + [",".join(map(_fmt, cell)) for cell in cells]
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -298,6 +276,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verify": cmd_verify,
     }
     try:
+        if getattr(args, "m", None) is not None and args.m > MAX_MODES:
+            raise ValueError(f"--m: 2^(m+1) must stay finite, so m <= {MAX_MODES}, got {args.m}")
         return handlers[args.command](args)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ import math
 from typing import Iterable, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .algebra import CoherentState, check_modes, trace_out
 from .channels import ChannelSpec, build_channel
@@ -44,7 +45,17 @@ def apply_loss(
     return trace_out(joint, range(count, count + len(modes)))
 
 
-def channel_fidelity(alpha: complex, eta: float, m: int = 3) -> float:
+def _checked_eta(m: int, eta: ArrayLike) -> np.ndarray:
+    """`eta` as an array, after the domain checks shared by the closed forms."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((0.0 <= eta) & (eta <= 1.0)):
+        raise ValueError("eta must lie in [0, 1]")
+    return eta
+
+
+def channel_fidelity(alpha: ArrayLike, eta: ArrayLike, m: int = 3) -> float | np.ndarray:
     """Overlap fidelity between the lossy channel and the ideal channel at the
     transmitted amplitude sqrt(eta) alpha.
 
@@ -54,17 +65,16 @@ def channel_fidelity(alpha: complex, eta: float, m: int = 3) -> float:
 
     exactly tr(rho_ideal(sqrt(eta) alpha) rho_lossy).  F = 1 at eta = 1,
     F = 1/2 identically at eta = 1/2, and F tends to eta as alpha -> 0, the
-    value returned at alpha = 0.
+    value returned at alpha = 0.  `alpha` and `eta` broadcast against each
+    other; scalars give a float.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    z = (2.0 ** (m + 1)) * abs(alpha) ** 2
-    if z == 0.0:
-        return eta
-    # expm1 keeps both 1 - exp(.) factors exact at small z
-    return math.expm1(-z * eta) * (1.0 + math.exp(-z * (1.0 - eta))) / (2.0 * math.expm1(-z))
+    eta = _checked_eta(m, eta)
+    z = (2.0 ** (m + 1)) * np.square(np.abs(alpha))
+    # expm1 keeps both 1 - exp(.) factors exact at small z; the divisor skips
+    # z = 0, where the limit stands in
+    fid = np.where(z == 0.0, eta, np.expm1(-z * eta) * (1.0 + np.exp(-z * (1.0 - eta)))
+                   / (2.0 * np.expm1(-np.where(z == 0.0, 1.0, z))))
+    return fid if fid.ndim else float(fid)
 
 
 def lossy_channel_operator(m: int, alpha: complex, eta: float, sign: str = "minus") -> CoherentState:
@@ -77,7 +87,7 @@ def lossy_channel_operator(m: int, alpha: complex, eta: float, sign: str = "minu
 # closed forms for the teleported fidelity
 
 
-def teleported_fidelity_exact(m: int, alpha: complex, eta: float) -> float:
+def teleported_fidelity_exact(m: int, alpha: ArrayLike, eta: ArrayLike) -> float | np.ndarray:
     """Exact per-outcome fidelity of the corrected teleported state for the
     odd-cat input (kappa1 = -kappa2), derived from the engine and confirmed
     against it to 1e-9.
@@ -89,16 +99,14 @@ def teleported_fidelity_exact(m: int, alpha: complex, eta: float) -> float:
 
     The same value holds for every success outcome, both parities, once the
     corrections are applied; it is 1 exactly at eta = 1 and tends to
-    eta / (2 - eta) as alpha -> 0, the value returned at alpha = 0.
+    eta / (2 - eta) as alpha -> 0, the value returned at alpha = 0.  `alpha`
+    and `eta` broadcast against each other; scalars give a float.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    u = (2.0**m) * eta * abs(alpha) ** 2  # e = exp(-u)
-    v = (2.0 ** (m + 1)) * (1.0 - eta) * abs(alpha) ** 2  # d = exp(-v)
-    if u + v == 0.0:
-        return eta / (2.0 - eta)
+    eta = _checked_eta(m, eta)
+    a2 = np.square(np.abs(alpha))
+    u = (2.0**m) * eta * a2  # e = exp(-u)
+    v = (2.0 ** (m + 1)) * (1.0 - eta) * a2  # d = exp(-v)
     # 1 - e and 1 - d e through expm1, exact at small alpha
-    return math.expm1(-u) * (1.0 + math.exp(-v)) / (2.0 * math.expm1(-(u + v)))
-
+    fid = np.where(u + v == 0.0, eta / (2.0 - eta), np.expm1(-u) * (1.0 + np.exp(-v))
+                   / (2.0 * np.expm1(-np.where(u + v == 0.0, 1.0, u + v))))
+    return fid if fid.ndim else float(fid)

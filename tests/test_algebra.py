@@ -181,19 +181,23 @@ def test_half_log_factorials_are_exact(monkeypatch):
     for count in (5, 4096, 70000):
         grown = half_log_factorials(count)
         assert len(grown) == count and not grown.flags.writeable
+        assert len(algebra._half_log_factorial_table) == count  # no power-of-two slack
     assert grown.tolist() == cold.tolist()
     assert cold.tolist() == [0.5 * math.lgamma(n + 1) for n in range(70000)]
 
 
 def test_number_amplitudes_reuse_the_cached_table(monkeypatch):
     beta = np.array([0.7, -1.2j, 0.0])
-    warm = number_amplitudes(beta, 300)  # fills the 512-entry table
+    monkeypatch.setattr(algebra, "_half_log_factorial_table", np.zeros(0))
+    warm = number_amplitudes(beta, 511)  # grows the table to exactly 512 entries
+    assert len(algebra._half_log_factorial_table) == 512
 
     def no_lgamma(x):
         raise AssertionError("lgamma called on a cached table")
 
     monkeypatch.setattr(math, "lgamma", no_lgamma)
-    assert np.array_equal(number_amplitudes(beta, 511)[:301], warm)
+    assert np.array_equal(number_amplitudes(beta, 300), warm[:301])
+    assert np.array_equal(number_amplitudes(beta, 511), warm)
 
 
 def test_project_rejects_negative_count():

@@ -3,9 +3,11 @@ closed-form invocations at the edges of the parameter domain."""
 
 import math
 
+import numpy as np
 import pytest
 
 from ecs_teleport import cli, teleport
+from ecs_teleport.noise import channel_fidelity, teleported_fidelity_exact
 
 
 def _teleport_table(capsys, argv):
@@ -104,6 +106,12 @@ def _exit_code(argv):
     # NumPy's "expected non-negative integer" and int()'s "invalid literal" named no option
     ["verify", "--seed", "-1"],
     ["figures", "fig1", "--alpha-range", "0", "1", "x"],
+    # 2.0 ** (m + 1) raised OverflowError through main as a traceback
+    ["figures", "fig1", "--m", "1100"],
+    ["figures", "fig2", "--m", "1100"],
+    ["channel-info", "--m", "1100"],
+    ["teleport", "--m", "1100"],
+    ["figures", "fig3", "--alpha-range", "0", "1", "2", "--m", "1023"],
 ])
 def test_non_finite_input_is_a_usage_error(capsys, argv):
     assert _exit_code(argv) == cli.USAGE_ERROR
@@ -143,6 +151,31 @@ def test_fig1_rejects_m_below_one(capsys):
     assert cli.main(["figures", "fig1", "--m", "0"]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and "error: m must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("which", ["fig1", "fig2"])
+def test_figures_at_the_largest_m(capsys, which):
+    # 2^(m+1) = 2^1023 is still a finite double
+    argv = ["figures", which, "--m", "1022", "--alpha-range", "0", "1", "3"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(captured.out.splitlines()) == 1 + 3 * 50
+
+
+@pytest.mark.parametrize("which", ["fig1", "fig2"])
+def test_figures_grid_matches_each_cell(capsys, which):
+    # the grid is one broadcast call; each printed cell must be the scalar form's
+    argv = ["figures", which, "--m", "2", "--alpha-range", "0", "1.5", "4",
+            "--eta-range", "0", "1", "3"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = ["alpha,eta,value"]
+    for a in np.linspace(0.0, 1.5, 4):
+        for e in np.linspace(0.0, 1.0, 3):
+            a, e = float(a), float(e)
+            v = channel_fidelity(a, e, m=2) if which == "fig1" else teleported_fidelity_exact(2, a, e)
+            expected.append(f"{a:.9g},{e:.9g},{v:.9g}")
+    assert lines == expected
 
 
 def test_fig2_rejects_eta_above_one(capsys):
@@ -211,6 +244,36 @@ def test_teleport_engine_all_covers_every_record_of_the_oracle(capsys):
     # the dense oracle printed deviations for counts up to 20 only
     code, devs, _, _ = _engine_deviations(capsys, ["--m", "2", "--alpha", "1.2"])
     assert code == 0 and len(devs) > 2 * 21
+
+
+def test_teleport_engine_all_fails_when_the_engines_disagree(capsys):
+    # the odd-cat oracle puts 0.5 on (1, 1), a record that never occurs; this
+    # exited 0 with the disagreement only in the footer
+    argv = ["teleport", "--m", "1", "--alpha", "3e-4", "--kappa1-re", "0.7", "--kappa2-re", "-0.7"]
+    assert cli.main(argv) == 0
+    coherent = capsys.readouterr().out.splitlines()
+    assert cli.main(argv + ["--engine", "all"]) == cli.VERIFY_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: the engines disagree by 0.5 at (l, n) = (1, 1), above the bar 1e-06\n"
+    # the table is still written: the coherent table plus the deviation column
+    table = captured.out.splitlines()
+    assert [line.rsplit(",", 1)[0] for line in table[:len(coherent)]] == coherent
+    assert table[len(coherent):] == ["oracle_max_disagreement,0.5,,,,", "oracle_discarded_weight,0,,,,"]
+
+
+def test_teleport_closed_form_leaves_lossy_probabilities_blank(capsys):
+    # the lossless closed form printed 0.015299165 at (0, 1), where the engine gives 0.0680645088
+    argv = ["teleport", "--m", "3", "--alpha", "0.8", "--eta", "0.6", "--engine", "closed_form",
+            "--kappa1-re", "0.6", "--kappa2-re", "-0.6"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",") for line in lines[1:] if line[0].isdigit()]
+    assert rows and all(row[2] == "" for row in rows)
+    footer = [line.split(",")[0] for line in lines[1:] if not line[0].isdigit()]
+    assert "max_odd_outcome_closed_form_deviation" not in footer
+    # the odd-cat fidelity closed form still fills every success record
+    fids = {row[4] for row in rows if (row[0], row[1]) != ("0", "0")}
+    assert fids == {f"{teleported_fidelity_exact(3, 0.8, 0.6):.9g}"}
 
 
 def test_teleport_engine_all_rejects_an_infeasible_oracle(capsys):

@@ -4,6 +4,7 @@ including the environment trace, as a fully independent check."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,39 @@ def test_channel_fidelity_domain_errors():
     for m in (0, -1):
         with pytest.raises(ValueError):
             channel_fidelity(1.0, 0.5, m)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_closed_forms_broadcast_bit_for_bit(m):
+    # the figures evaluate a whole (alpha, eta) grid in one call; each cell must
+    # hold the scalar call's bits, with no warning at alpha = 0 or at the eta edges
+    alphas = np.array([0.0, 1e-9, 3e-4, 0.02, 0.5, 1.0 + 0.5j, 2.5, 30.0])
+    etas = np.array([0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0])[:, None]
+    forms = {
+        "channel": lambda a, e: channel_fidelity(a, e, m=m),
+        "teleported": lambda a, e: teleported_fidelity_exact(m, a, e),
+    }
+    for form in forms.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = form(alphas, etas)
+            cells = [[form(a, e) for a in alphas.tolist()] for e in etas[:, 0].tolist()]
+        assert grid.shape == (len(etas), len(alphas))
+        assert all(type(v) is float for row in cells for v in row)
+        assert np.array_equal(grid, np.array(cells))
+        assert np.all((0.0 <= grid) & (grid <= 1.0))
+    assert np.array_equal(forms["channel"](0.0, etas[:, 0]), etas[:, 0])
+    assert np.array_equal(forms["teleported"](0.0, etas[:, 0]), etas[:, 0] / (2.0 - etas[:, 0]))
+
+
+def test_closed_forms_reject_any_cell_outside_the_domain():
+    for bad in (np.array([0.2, 1.2]), np.array([[0.5], [math.nan]]), np.array([-0.1])):
+        with pytest.raises(ValueError, match=re.escape("eta must lie in [0, 1]")):
+            channel_fidelity(np.ones(3), bad)
+        with pytest.raises(ValueError, match=re.escape("eta must lie in [0, 1]")):
+            teleported_fidelity_exact(3, np.ones(3), bad)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        teleported_fidelity_exact(0, np.ones(3), np.ones(3))
 
 
 # --- teleportation through loss ---------------------------------------------------
