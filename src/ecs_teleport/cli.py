@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def model(p):
-        p.add_argument("--m", type=int, default=None, help="number of teleported modes")
+        p.add_argument("--m", type=int, default=3, help="number of teleported modes")
         p.add_argument("--alpha", type=_finite_float, default=1.0, help="coherent amplitude")
         p.add_argument("--sign", choices=("plus", "minus"), default="minus")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -146,7 +146,7 @@ def _range(option: str, spec: Sequence[str]) -> np.ndarray:
 
 
 def cmd_channel_info(args) -> int:
-    m = 3 if args.m is None else args.m
+    m = args.m
     spec = ChannelSpec(m=m, alpha=args.alpha, sign=args.sign)
     amps = channel_amplitudes(m, args.alpha)
     state = build_channel(spec)
@@ -167,7 +167,7 @@ def cmd_channel_info(args) -> int:
 
 
 def cmd_teleport(args) -> int:
-    m = 3 if args.m is None else args.m
+    m = args.m
     k1 = complex(args.kappa1_re, args.kappa1_im)
     k2 = complex(args.kappa2_re, args.kappa2_im)
     report = run_protocol(m, args.alpha, k1, k2, args.sign, eta=args.eta)
@@ -278,6 +278,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "m", None) is not None and args.m > MAX_MODES:
             raise ValueError(f"--m: 2^(m+1) must stay finite, so m <= {MAX_MODES}, got {args.m}")
+        # channel-info and teleport: every closed form scales alpha^2 by 2^(m+1)
+        if hasattr(args, "alpha") and math.isinf(2.0 ** (args.m + 1) * args.alpha * args.alpha):
+            raise ValueError(f"--alpha: 2^(m+1) alpha^2 must stay finite, got alpha = {args.alpha:g} "
+                             f"at m = {args.m}; lower m or alpha")
         return handlers[args.command](args)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,6 +55,17 @@ def _checked_eta(m: int, eta: ArrayLike) -> np.ndarray:
     return eta
 
 
+def _at_eta_edges(fid: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
+    """`fid` with F = eta, exact for every alpha, where eta is 0 or 1; a float for scalars.
+
+    The closed forms let 2^(m+1) |alpha|^2 overflow to inf, and their
+    exponentials take inf to the large-alpha limits; only at eta = 0 or 1
+    does inf meet a zero factor, and this sets those cells.
+    """
+    fid = np.where((eta == 0.0) | (eta == 1.0), eta, fid)
+    return fid if fid.ndim else float(fid)
+
+
 def channel_fidelity(alpha: ArrayLike, eta: ArrayLike, m: int = 3) -> float | np.ndarray:
     """Overlap fidelity between the lossy channel and the ideal channel at the
     transmitted amplitude sqrt(eta) alpha.
@@ -65,16 +76,18 @@ def channel_fidelity(alpha: ArrayLike, eta: ArrayLike, m: int = 3) -> float | np
 
     exactly tr(rho_ideal(sqrt(eta) alpha) rho_lossy).  F = 1 at eta = 1,
     F = 1/2 identically at eta = 1/2, and F tends to eta as alpha -> 0, the
-    value returned at alpha = 0.  `alpha` and `eta` broadcast against each
-    other; scalars give a float.
+    value returned at alpha = 0.  F = 0 at eta = 0 for every alpha; where z
+    overflows a double, F takes its large-alpha limit 1/2 for 0 < eta < 1.
+    `alpha` and `eta` broadcast against each other; scalars give a float.
     """
     eta = _checked_eta(m, eta)
-    z = (2.0 ** (m + 1)) * np.square(np.abs(alpha))
-    # expm1 keeps both 1 - exp(.) factors exact at small z; the divisor skips
-    # z = 0, where the limit stands in
-    fid = np.where(z == 0.0, eta, np.expm1(-z * eta) * (1.0 + np.exp(-z * (1.0 - eta)))
-                   / (2.0 * np.expm1(-np.where(z == 0.0, 1.0, z))))
-    return fid if fid.ndim else float(fid)
+    with np.errstate(over="ignore", invalid="ignore"):  # see `_at_eta_edges`
+        z = (2.0 ** (m + 1)) * np.square(np.abs(alpha))
+        # expm1 keeps both 1 - exp(.) factors exact at small z; the divisor skips
+        # z = 0, where the limit stands in
+        fid = np.where(z == 0.0, eta, np.expm1(-z * eta) * (1.0 + np.exp(-z * (1.0 - eta)))
+                       / (2.0 * np.expm1(-np.where(z == 0.0, 1.0, z))))
+    return _at_eta_edges(fid, eta)
 
 
 def lossy_channel_operator(m: int, alpha: complex, eta: float, sign: str = "minus") -> CoherentState:
@@ -98,15 +111,18 @@ def teleported_fidelity_exact(m: int, alpha: ArrayLike, eta: ArrayLike) -> float
         F = (1 - e)(1 + d) / (2 (1 - d e)).
 
     The same value holds for every success outcome, both parities, once the
-    corrections are applied; it is 1 exactly at eta = 1 and tends to
-    eta / (2 - eta) as alpha -> 0, the value returned at alpha = 0.  `alpha`
-    and `eta` broadcast against each other; scalars give a float.
+    corrections are applied; it is 1 exactly at eta = 1, 0 at eta = 0, and
+    tends to eta / (2 - eta) as alpha -> 0, the value returned at alpha = 0.
+    Where 2^{m+1} |alpha|^2 overflows a double, F takes its large-alpha
+    limit 1/2 for 0 < eta < 1.  `alpha` and `eta` broadcast against each
+    other; scalars give a float.
     """
     eta = _checked_eta(m, eta)
-    a2 = np.square(np.abs(alpha))
-    u = (2.0**m) * eta * a2  # e = exp(-u)
-    v = (2.0 ** (m + 1)) * (1.0 - eta) * a2  # d = exp(-v)
-    # 1 - e and 1 - d e through expm1, exact at small alpha
-    fid = np.where(u + v == 0.0, eta / (2.0 - eta), np.expm1(-u) * (1.0 + np.exp(-v))
-                   / (2.0 * np.expm1(-np.where(u + v == 0.0, 1.0, u + v))))
-    return fid if fid.ndim else float(fid)
+    with np.errstate(over="ignore", invalid="ignore"):  # see `_at_eta_edges`
+        a2 = np.square(np.abs(alpha))
+        u = (2.0**m) * eta * a2  # e = exp(-u)
+        v = (2.0 ** (m + 1)) * (1.0 - eta) * a2  # d = exp(-v)
+        # 1 - e and 1 - d e through expm1, exact at small alpha
+        fid = np.where(u + v == 0.0, eta / (2.0 - eta), np.expm1(-u) * (1.0 + np.exp(-v))
+                       / (2.0 * np.expm1(-np.where(u + v == 0.0, 1.0, u + v))))
+    return _at_eta_edges(fid, eta)

@@ -15,14 +15,24 @@ Bob's Gram matrix and the reference overlaps do not depend on the record, so
 every (l, n) probability and fidelity follows from one matrix of
 measured-mode number amplitudes.  `bob_state` builds Bob's corrected state
 for one record on demand.
+
+The table splits into a geometry, built from labels alone, and a score of
+the coefficients against it (`_Geometry.score`, the one scoring path).  Only
+the input's kappa1 and kappa2 change from one run on a channel to the next,
+so `run_protocol` caches each geometry, with the lossy channel's
+coefficient matrix, under the key (m, alpha, eta, sign, resolved n_max),
+each part matched by type, dtype and exact bits.  The cache drops the least
+recently used entries to hold at most GEOMETRY_CACHE_BYTES (64 MiB) of
+arrays, and keeps none larger than that.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,6 +64,8 @@ CORRECTIONS = ("none", "phase_only", "sign_only", "phase_plus_sign")
 PROB_FLOOR = 1e-30
 # largest photon count the outcome table enumerates; its arrays grow with it
 MAX_N_MAX = 200_000
+# bytes of arrays `run_protocol` keeps across calls; one geometry at MAX_N_MAX holds ~32 MB
+GEOMETRY_CACHE_BYTES = 64 << 20
 
 
 class ProtocolOutcome(NamedTuple):
@@ -219,6 +231,94 @@ def bob_state(folded: CoherentState, m: int, l: int, n: int, sign: str = "minus"
     return state
 
 
+@dataclass(frozen=True, eq=False)
+class _Geometry:
+    """What the outcome table takes from the labels alone, with no coefficient.
+
+    `ls`, `ns` and `codes` list every (l=0, n) and (l, n=0) record with its
+    correction code, `f` holds their measured-mode amplitudes (records x
+    folded labels), `index` maps each folded label to its class among Bob's
+    deduped labels and `bob_gram` is those classes' Gram matrix over the
+    folded labels.  `classes` holds, for each correction code the records
+    use, the branch signs of Bob's corrected labels, the outer product of
+    the flip it applies (None when it flips nothing) and the Gram matrix of
+    the reference labels against the corrected ones.  Every array is
+    read-only.
+    """
+
+    ls: np.ndarray
+    ns: np.ndarray
+    codes: np.ndarray
+    f: np.ndarray
+    index: np.ndarray
+    bob_gram: np.ndarray
+    classes: tuple[tuple[int, np.ndarray, Optional[np.ndarray], np.ndarray], ...]
+
+    def __post_init__(self):
+        for array in self._arrays():
+            array.flags.writeable = False
+
+    def _arrays(self) -> list[np.ndarray]:
+        arrays = [self.ls, self.ns, self.codes, self.f, self.index, self.bob_gram]
+        return arrays + [a for entry in self.classes for a in entry[1:] if a is not None]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self._arrays())
+
+    def score(self, coeffs: np.ndarray, reference_coeffs: np.ndarray) -> ProtocolReport:
+        """The outcome table of the folded coefficient matrix `coeffs`, scored
+        against the pure reference with coefficients `reference_coeffs`."""
+        probs = _quadratic_forms(self.f, coeffs * self.bob_gram.T)
+        kept = np.flatnonzero(probs >= PROB_FLOOR)
+        ls, ns, codes, f, probs = self.ls[kept], self.ns[kept], self.codes[kept], self.f[kept], probs[kept]
+        fidelity = np.empty(len(kept))
+        for code, signs, flip, reference_gram in self.classes:
+            rows = np.flatnonzero(codes == code)
+            if not rows.size:
+                continue
+            norms = probs[rows]
+            if flip is not None:
+                norms = _quadratic_forms(f[rows], coeffs * self.bob_gram.T * flip)
+            overlaps = (reference_coeffs.conj() @ reference_gram) * signs
+            fidelity[rows] = _quadratic_forms(f[rows] * overlaps[self.index], coeffs) / norms
+
+        # Python sums over .tolist() add in record order, as a sum over the rows would
+        succ = (ls != 0) | (ns != 0)
+        p_succ = sum(probs[succ].tolist())
+        mean_f = sum((probs * fidelity)[succ].tolist()) / p_succ if p_succ > 0 else float("nan")
+        return ProtocolReport(ls, ns, probs, codes, fidelity, p_succ, mean_f)
+
+
+def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: int, sign: str) -> _Geometry:
+    """The `_Geometry` of a folded label array scored against `reference_labels`."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if np.any(np.abs(labels[:, : m - 1]) > 1e-9):
+        raise AssertionError("fold network left a non-vacuum input mode")
+    index, reps = dedupe_index(labels[:, m + 1 :])
+    bob = labels[reps, m + 1 :]
+    bob_gram = gram(bob, bob)[np.ix_(index, index)]  # over the folded labels
+
+    ls = np.concatenate([np.zeros(n_max + 1, dtype=int), np.arange(1, n_max + 1)])
+    ns = np.concatenate([np.arange(n_max + 1), np.zeros(n_max, dtype=int)])
+    f = number_amplitudes(labels[:, m - 1], n_max)[ls] * number_amplitudes(labels[:, m], n_max)[ns]
+    codes = correction_codes(ls, ns, sign)
+    classes = []
+    # a fixed loop over the classes: np.unique would cost a cold CLI run ~10 ms on first use
+    used = np.bincount(codes, minlength=len(CORRECTIONS)).tolist()
+    for code, what in enumerate(CORRECTIONS):
+        if not used[code]:
+            continue
+        corrected = -bob if what in ("phase_only", "phase_plus_sign") else bob
+        signs, flip = np.ones(len(reps)), None
+        if what in ("sign_only", "phase_plus_sign"):
+            signs = _branch_signs(corrected, _default_plus_amps(corrected))
+            flip = np.outer(signs[index], signs[index])
+        classes.append((code, signs, flip, gram(reference_labels, corrected)))
+    return _Geometry(ls, ns, codes, f, index, bob_gram, tuple(classes))
+
+
 def enumerate_outcomes(
     folded: CoherentState,
     m: int,
@@ -237,8 +337,8 @@ def enumerate_outcomes(
     conditional state is a branch mixture the protocol cannot repair;
     `mean_fidelity` is the probability-weighted fidelity over those success
     outcomes.  The report holds the table as columns in (l, n) order, filled
-    straight from the arrays below with no per-record Python; `bob_state`
-    builds Bob's state for any record.
+    straight from arrays with no per-record Python; `bob_state` builds Bob's
+    state for any record.
 
     Pure and operator states share one vectorized pass.  With C the folded
     coefficient matrix (c c^H for a pure state), f[r, t] = <l_r|a_t,m-1>
@@ -247,46 +347,13 @@ def enumerate_outcomes(
     probability is tr((C o f f^H) G).  Each correction negates every label or
     none and flips the sign of the -branch or not, so one overlap vector
     between the reference and the corrected labels scores all records of
-    that correction at once.
+    that correction at once.  f, G and those overlaps' Gram matrices depend
+    on the labels alone: they form the `_Geometry`, which `run_protocol`
+    keeps across calls, and only its `score` reads C and the reference's
+    coefficients.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    amps, coeffs = folded.labels, folded.density()
-    if np.any(np.abs(amps[:, : m - 1]) > 1e-9):
-        raise AssertionError("fold network left a non-vacuum input mode")
-    index, reps = dedupe_index(amps[:, m + 1 :])
-    bob = amps[reps, m + 1 :]
-    bob_gram = gram(bob, bob)[np.ix_(index, index)]  # over the folded labels
-
-    ls = np.concatenate([np.zeros(n_max + 1, dtype=int), np.arange(1, n_max + 1)])
-    ns = np.concatenate([np.arange(n_max + 1), np.zeros(n_max, dtype=int)])
-    f = number_amplitudes(amps[:, m - 1], n_max)[ls] * number_amplitudes(amps[:, m], n_max)[ns]
-    probs = _quadratic_forms(f, coeffs * bob_gram.T)
-    kept = np.flatnonzero(probs >= PROB_FLOOR)
-    ls, ns, f, probs = ls[kept], ns[kept], f[kept], probs[kept]
-
-    codes = correction_codes(ls, ns, sign)
-    fidelity = np.empty(len(kept))
-    # a fixed loop over the classes: np.unique would cost a cold CLI run ~10 ms on first use
-    for code, what in enumerate(CORRECTIONS):
-        rows = np.flatnonzero(codes == code)
-        if not rows.size:
-            continue
-        corrected = -bob if what in ("phase_only", "phase_plus_sign") else bob
-        signs = np.ones(len(reps))
-        norms = probs[rows]
-        if what in ("sign_only", "phase_plus_sign"):
-            signs = _branch_signs(corrected, _default_plus_amps(corrected))
-            flip = signs[index]
-            norms = _quadratic_forms(f[rows], coeffs * bob_gram.T * np.outer(flip, flip))
-        overlaps = (reference.coeffs.conj() @ gram(reference.labels, corrected)) * signs
-        fidelity[rows] = _quadratic_forms(f[rows] * overlaps[index], coeffs) / norms
-
-    # Python sums over .tolist() add in record order, as a sum over the rows would
-    succ = (ls != 0) | (ns != 0)
-    p_succ = sum(probs[succ].tolist())
-    mean_f = sum((probs * fidelity)[succ].tolist()) / p_succ if p_succ > 0 else float("nan")
-    return ProtocolReport(ls, ns, probs, codes, fidelity, p_succ, mean_f)
+    geometry = _geometry(folded.labels, reference.labels, m, n_max, sign)
+    return geometry.score(folded.density(), reference.coeffs)
 
 
 def transmitted_amplitude(alpha: complex, eta: float) -> complex:
@@ -298,6 +365,56 @@ def transmitted_amplitude(alpha: complex, eta: float) -> complex:
     if abs(beta) < MIN_AMPLITUDE:
         raise ValueError("sqrt(eta) * |alpha| too small; the protocol degenerates")
     return beta
+
+
+class _GeometryCache:
+    """Least-recently-used map of (geometry, channel coefficient matrix)
+    pairs, bounded by the bytes of their arrays.
+
+    An entry larger than the bound is returned but not kept.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, tuple[_Geometry, np.ndarray]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @staticmethod
+    def size(entry: tuple[_Geometry, np.ndarray]) -> int:
+        return entry[0].nbytes + entry[1].nbytes
+
+    def get(
+        self, key: tuple, build: Callable[[], tuple[_Geometry, np.ndarray]]
+    ) -> tuple[_Geometry, np.ndarray]:
+        """The entry held under `key`, else `build()`'s, kept if it fits."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry
+        entry = build()
+        if self.size(entry) <= self.max_bytes:
+            self._entries[key] = entry
+            self.nbytes += self.size(entry)
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self.size(self._entries.popitem(last=False)[1])
+        return entry
+
+
+_geometries = _GeometryCache(GEOMETRY_CACHE_BYTES)
+
+
+def _exact_key(value) -> tuple:
+    """A cache key part that matches only the same type with the same dtype,
+    shape and bits: -1-0j == -1+0j, yet the signed zero reaches the
+    arithmetic.  A value NumPy holds only as an object (a huge int, a
+    Fraction) keys by itself."""
+    bits = np.asarray(value)
+    if bits.dtype == object:
+        return type(value), value
+    return type(value), bits.dtype.str, bits.shape, bits.tobytes()
 
 
 def run_protocol(
@@ -323,6 +440,16 @@ def run_protocol(
     exactly (for the minus channel; the plus channel via the swapped parity
     rules).  A default n_max above MAX_N_MAX is refused: the table would not
     fit, and a truncated one would hide mass.
+
+    Only the input's two coefficients depend on kappa1 and kappa2, so each
+    call builds the input and scores it against a cached `_Geometry` and the
+    lossy channel's coefficient matrix.  The key is (m, alpha, eta, sign,
+    n_max) after n_max is resolved, each part compared by type, dtype and
+    exact bits, so 0.0 and -0.0 key apart; the cache keeps the entries last
+    used, up to GEOMETRY_CACHE_BYTES (64 MiB) of arrays.  The input is built
+    before the lookup and a miss runs the rest of the chain (lose, fold), so
+    every check raises where and as it would without the cache, and nothing
+    is cached when one fails.
     """
     beta = transmitted_amplitude(alpha, eta)
     if n_max is None:
@@ -332,9 +459,17 @@ def run_protocol(
                 f"outcome table needs photon counts up to {n_max} (limit {MAX_N_MAX}); lower m or alpha"
             )
     inp = build_input(m, beta, kappa1, kappa2)
-    joint = tensor(inp, lossy_channel_operator(m, alpha, eta, sign))
-    folded = fold_network(joint, m)
-    return enumerate_outcomes(folded, m, n_max, sign=sign, reference=inp)
+
+    def build() -> tuple[_Geometry, np.ndarray]:
+        channel = lossy_channel_operator(m, alpha, eta, sign)
+        folded = fold_network(tensor(inp, channel), m)
+        channel.coeffs.flags.writeable = False
+        return _geometry(folded.labels, inp.labels, m, n_max, sign), channel.coeffs
+
+    key = tuple(map(_exact_key, (m, alpha, eta, sign, n_max)))
+    geometry, channel = _geometries.get(key, build)
+    # the fold moves labels only, so this is the folded coefficient matrix
+    return geometry.score(np.kron(inp.density(), channel), inp.coeffs)
 
 
 def teleport_through_noise(

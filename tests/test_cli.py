@@ -46,6 +46,18 @@ def test_teleport_warns_on_missing_mass(capsys, monkeypatch):
     assert "warning" in err and "missing" in err
 
 
+def test_teleport_warns_on_missing_mass_after_a_cached_run(capsys, monkeypatch):
+    # run_protocol keys its geometry cache on the resolved n_max, so a cached
+    # run at the default n_max must not stand in for the patched one
+    code, _, footer, err = _teleport_table(capsys, ["--m", "3", "--alpha", "1.5"])
+    assert code == 0 and err == "" and abs(float(footer["total_probability"]) - 1.0) < 1e-9
+    monkeypatch.setattr(teleport, "default_n_max", lambda m, alpha: 3)
+    code, _, footer, err = _teleport_table(capsys, ["--m", "3", "--alpha", "1.5"])
+    assert code == 0
+    assert float(footer["total_probability"]) < 0.5
+    assert "warning" in err and "missing" in err
+
+
 def test_teleport_rejects_an_oversized_table(capsys):
     # mean count 2^20: the whole table would not fit, and a truncated one would hide mass
     assert cli.main(["teleport", "--m", "20", "--alpha", "1"]) == cli.USAGE_ERROR
@@ -122,6 +134,39 @@ def test_non_finite_input_is_a_usage_error(capsys, argv):
     must = "integer" if argv[-1] in ("-1", "x") else "finite"
     assert "error:" in captured.err and option in captured.err and must in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["teleport", "--alpha", "1e200"],
+    ["teleport", "--alpha", "1e154", "--eta", "0.5"],
+    ["channel-info", "--alpha", "1e200"],
+    ["channel-info", "--m", "1", "--alpha=-1e154"],
+])
+def test_huge_alpha_is_a_usage_error(capsys, argv):
+    # abs(alpha) ** 2 raised OverflowError through main as a traceback
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --alpha:")
+    assert "lower m or alpha" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["figures", "fig2", "--alpha-range", "0", "1e200", "3"],
+    ["figures", "fig1", "--alpha-range", "0", "1e200", "3"],
+    ["figures", "fig1", "--m", "1022", "--alpha-range", "0", "5", "3"],
+    ["figures", "fig2", "--m", "1022", "--alpha-range", "0", "5", "3"],
+])
+def test_figures_where_alpha_squared_overflows(capsys, argv):
+    # 2^(m+1) |alpha|^2 overflowed to inf, and inf * 0 left blank cells at the
+    # eta edges with RuntimeWarnings on stderr
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    cells = [[float(v) for v in line.split(",")] for line in captured.out.splitlines()[1:]]
+    assert len(cells) == 3 * 50
+    for alpha, eta, value in cells[50:]:
+        # F = eta exactly at the edges, the large-alpha limit 1/2 inside
+        assert value == (eta if eta in (0.0, 1.0) else 0.5)
 
 
 @pytest.mark.parametrize("argv", [

@@ -177,6 +177,19 @@ def test_closed_forms_broadcast_bit_for_bit(m):
     assert np.array_equal(forms["teleported"](0.0, etas[:, 0]), etas[:, 0] / (2.0 - etas[:, 0]))
 
 
+@pytest.mark.parametrize("m,alpha", [(3, 1e200), (3, 1e154), (1022, 5.0), (1, -2e154 + 1e154j)])
+def test_closed_forms_take_their_limits_where_alpha_squared_overflows(m, alpha):
+    # 2^(m+1) |alpha|^2 overflows to inf; inf * 0 gave NaN at the eta edges
+    etas = np.array([0.0, 1e-300, 0.3, 0.5, 1.0 - 1e-12, 1.0])
+    limits = np.array([0.0, 0.5, 0.5, 0.5, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(channel_fidelity(alpha, etas, m=m), limits)
+        assert np.array_equal(teleported_fidelity_exact(m, alpha, etas), limits)
+        assert [channel_fidelity(alpha, e, m=m) for e in (0.0, 1.0)] == [0.0, 1.0]
+        assert [teleported_fidelity_exact(m, alpha, e) for e in (0.0, 1.0)] == [0.0, 1.0]
+
+
 def test_closed_forms_reject_any_cell_outside_the_domain():
     for bad in (np.array([0.2, 1.2]), np.array([[0.5], [math.nan]]), np.array([-0.1])):
         with pytest.raises(ValueError, match=re.escape("eta must lie in [0, 1]")):

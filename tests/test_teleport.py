@@ -2,13 +2,14 @@
 closed-form success probabilities, and the dual-engine outcome-table check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecs_teleport import fock
+from ecs_teleport import fock, teleport
 from ecs_teleport.algebra import fidelity, project_photon_number, tensor
 from ecs_teleport.channels import ChannelSpec, build_channel, build_input
 from ecs_teleport.noise import channel_fidelity, lossy_channel_operator, teleported_fidelity_exact
@@ -455,3 +456,149 @@ def test_closed_forms_finite_and_bounded(m, alpha, eta):
     ]
     for v in values:
         assert math.isfinite(v) and 0.0 <= v <= 1.0
+
+
+# --- the geometry cache of run_protocol ---------------------------------------------
+
+def _columns(rep):
+    return (rep.l, rep.n, rep.probability, rep.correction, rep.fidelity,
+            rep.success_probability, rep.mean_fidelity)
+
+
+def _same_bits(a, b):
+    return all(np.array_equal(x, y, equal_nan=True) and np.asarray(x).dtype == np.asarray(y).dtype
+               for x, y in zip(_columns(a), _columns(b)))
+
+
+@pytest.fixture
+def geometries(monkeypatch):
+    """An empty geometry cache in place of run_protocol's."""
+    cache = teleport._GeometryCache(teleport.GEOMETRY_CACHE_BYTES)
+    monkeypatch.setattr(teleport, "_geometries", cache)
+    return cache
+
+
+@pytest.mark.parametrize("m,alpha,sign,eta", [
+    (1, 0.3, "minus", 1.0), (2, 0.8 - 0.4j, "plus", 0.6), (3, 1.0, "minus", 0.3),
+    (3, 0.8 - 0.4j, "minus", 0.6), (6, 1.5, "plus", 1.0), (8, 2.0, "minus", 0.6),
+])
+def test_cached_runs_match_a_fresh_fold(geometries, m, alpha, sign, eta):
+    # every call after the first scores its kappas against the kept geometry
+    inputs = [(1.0, -1.0), (0.6 + 0.1j, -0.3 + 0.7j), (1.0, 1.0), (0.2j, 0.9)]
+    for k1, k2 in inputs:
+        rep = run_protocol(m, alpha, k1, k2, sign, eta=eta)
+        folded, inp = _folded(m, alpha, eta, k1, k2, sign)
+        fresh = enumerate_outcomes(folded, m, default_n_max(m, math.sqrt(eta) * alpha), sign,
+                                   reference=inp)
+        assert _same_bits(rep, fresh)
+    assert len(geometries) == 1
+
+
+SPELLINGS = [1.0, 1 + 0j, complex(1.0, -0.0), complex(-1.0, -0.0), complex(-1.0, 0.0), np.float64(1.0)]
+
+
+@pytest.mark.parametrize("order", [SPELLINGS, SPELLINGS[::-1]])
+def test_alpha_spellings_give_the_bits_of_a_cold_call(monkeypatch, order):
+    # -1-0j == -1+0j, but the signed zero reaches the arithmetic, so a key
+    # compared with == would hand one of them the other's bits
+    cold = {}
+    for alpha in SPELLINGS:
+        monkeypatch.setattr(teleport, "_geometries", teleport._GeometryCache(1 << 30))
+        cold[id(alpha)] = run_protocol(3, alpha, 0.6 + 0.1j, -0.3 + 0.7j, eta=0.6)
+    cache = teleport._GeometryCache(1 << 30)
+    monkeypatch.setattr(teleport, "_geometries", cache)
+    for alpha in order:
+        run_protocol(3, alpha, 0.8, 0.1j, eta=0.6)
+    for alpha in order:
+        assert _same_bits(run_protocol(3, alpha, 0.6 + 0.1j, -0.3 + 0.7j, eta=0.6), cold[id(alpha)])
+    assert len(cache) == len(SPELLINGS)
+
+
+def test_cached_arrays_are_read_only(geometries):
+    first = run_protocol(3, 1.0, 0.6, 0.8, eta=0.6)
+    ((geometry, channel),) = geometries._entries.values()
+    arrays = geometry._arrays() + [channel]
+    assert len(arrays) == 6 + 2 * 2 + 2 * 3 + 1  # labels, 2 classes with no flip, 2 with one, channel
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+    assert _same_bits(run_protocol(3, 1.0, 0.6, 0.8, eta=0.6), first)
+
+
+def test_cache_holds_no_more_bytes_than_its_bound(monkeypatch):
+    one = teleport._GeometryCache(1 << 30)
+    monkeypatch.setattr(teleport, "_geometries", one)
+    run_protocol(3, 1.0, 0.6, 0.8)
+    bound = 3 * one.nbytes  # room for about three geometries of this size
+    cache = teleport._GeometryCache(bound)
+    monkeypatch.setattr(teleport, "_geometries", cache)
+    for alpha in np.linspace(0.9, 1.1, 12).tolist():
+        rep = run_protocol(3, alpha, 0.6, 0.8)
+        assert abs(rep.total_probability - 1.0) < 1e-9
+        assert cache.nbytes <= bound
+        assert cache.nbytes == sum(map(cache.size, cache._entries.values()))
+    assert 1 <= len(cache) < 12
+    # a geometry above the bound is used but not kept, and evicts nothing
+    small = teleport._GeometryCache(one.nbytes * 3 // 2)
+    monkeypatch.setattr(teleport, "_geometries", small)
+    run_protocol(3, 1.0, 0.6, 0.8)
+    assert abs(run_protocol(6, 1.0, 0.6, 0.8).total_probability - 1.0) < 1e-9
+    assert len(small) == 1 and small.nbytes == one.nbytes  # the m = 3 geometry stays
+
+
+def test_key_tells_dtypes_with_the_same_bytes_apart(geometries):
+    # float32 1.0 and int32 1065353216 share their four bytes
+    one, big = np.array(1.0, np.float32), np.array(1065353216, np.int32)
+    assert one.tobytes() == big.tobytes()
+    assert teleport._exact_key(one) != teleport._exact_key(big)
+    assert teleport._exact_key(np.zeros(2)) != teleport._exact_key(np.zeros((2, 1)))
+    run_protocol(3, one, 0.6, 0.8, n_max=4)
+    run_protocol(3, big, 0.6, 0.8, n_max=4)
+    assert len(geometries) == 2
+
+
+BAD_ARGUMENTS = [
+    # (arguments, exception, message), in the order run_protocol checks them
+    (dict(m=3, kappa1=0, kappa2=0), ValueError, "kappa1 and kappa2 must not both vanish"),
+    (dict(m=3, kappa1=math.nan, kappa2=1), ValueError, "coefficients and coherent amplitudes must be finite"),
+    (dict(m=3, kappa1=complex(0, math.inf), kappa2=0), ValueError,
+     "coefficients and coherent amplitudes must be finite"),
+    (dict(m=3, kappa1=1e-200, kappa2=1e-200), ValueError, "cannot normalize a null state"),
+    (dict(m=0, kappa1=0, kappa2=0), ValueError, "kappa1 and kappa2 must not both vanish"),
+    (dict(m=0, kappa1=math.nan, kappa2=1), ValueError, "m must be >= 1"),
+    (dict(m=0, kappa1=1, kappa2=1, sign="bogus"), ValueError, "m must be >= 1"),
+    (dict(m=3, kappa1=math.nan, kappa2=1, sign="bogus"), ValueError,
+     "coefficients and coherent amplitudes must be finite"),
+    (dict(m=3, kappa1=0, kappa2=0, sign="bogus"), ValueError, "kappa1 and kappa2 must not both vanish"),
+    (dict(m=3, kappa1=1, kappa2=1, sign="bogus"), ValueError, "sign must be 'plus' or 'minus'"),
+    (dict(m=3, kappa1=1, kappa2=1, eta=1.5), ValueError, "eta must lie in [0, 1]"),
+    (dict(m=3, kappa1=1, kappa2=1, eta=0.0), ValueError,
+     "sqrt(eta) * |alpha| too small; the protocol degenerates"),
+    (dict(m=3, kappa1=1, kappa2=1, n_max=0), ValueError, "n_max must be >= 1"),
+    (dict(m=3, kappa1=0, kappa2=0, n_max=0), ValueError, "kappa1 and kappa2 must not both vanish"),
+    (dict(m=3, kappa1=1, kappa2=1, n_max=0, sign="bogus"), ValueError, "sign must be 'plus' or 'minus'"),
+    (dict(m=20, kappa1=1, kappa2=1), ValueError,
+     "outcome table needs photon counts up to 1058837 (limit 200000); lower m or alpha"),
+    (dict(m=3, alpha=math.nan, kappa1=1, kappa2=1, n_max=5), ValueError,
+     "coefficients and coherent amplitudes must be finite"),
+    (dict(m=3, alpha=math.inf, kappa1=1, kappa2=1), OverflowError,
+     "cannot convert float infinity to integer"),
+    (dict(m=3.0, kappa1=1, kappa2=1), TypeError, "'float' object cannot be interpreted as an integer"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("arguments,error,message", BAD_ARGUMENTS)
+def test_bad_arguments_raise_as_without_the_cache(geometries, warm, arguments, error, message):
+    arguments = {"alpha": 1.0, **arguments}
+    if warm:
+        # cache the same geometry first, where it has one
+        good = dict(arguments, kappa1=0.6, kappa2=0.8, m=int(arguments["m"]))
+        try:
+            run_protocol(**good)
+        except (ValueError, OverflowError):
+            pass
+    held = len(geometries)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        run_protocol(**arguments)
+    assert len(geometries) == held  # nothing is cached when a check fails
