@@ -62,7 +62,7 @@ def coherent_column(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     """
     if dim - 1 > MAX_CUTOFF:
         raise ValueError(
-            f"photon cutoff {dim - 1} exceeds the Fock engine's cap of {MAX_CUTOFF}; lower m or alpha"
+            f"photon cutoff {dim - 1:.3g} exceeds the Fock engine's cap of {MAX_CUTOFF}; lower m or alpha"
         )
     alpha = np.asarray(alpha, dtype=complex)[..., None]
     # np.hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit

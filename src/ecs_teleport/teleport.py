@@ -10,11 +10,13 @@ pair (mode m-1, mode m).  Bob holds modes m+1..2m.
 `run_protocol` is the one protocol driver.  The channel always passes
 through photon loss of transmissivity eta; the lossless protocol is its
 eta = 1 run, where the loss is the identity.  `enumerate_outcomes` computes
-the whole outcome table in one vectorized pass over the folded label array:
-Bob's Gram matrix and the reference overlaps do not depend on the record, so
-every (l, n) probability and fidelity follows from one matrix of
-measured-mode number amplitudes.  `bob_state` builds Bob's corrected state
-for one record on demand.
+the whole outcome table in one vectorized pass.  The fold leaves every label
+vacuum on one measured mode and +-x0 on the other, so each record's
+measured-mode amplitudes are a Poisson weight times one of five class
+patterns: (0, 0), even and odd counts on either measured mode.  A record's
+probability is its weight times one quadratic form of its class, and its
+fidelity is its class's.  `bob_state` builds Bob's corrected state for one
+record on demand.
 
 The table splits into a geometry, built from labels alone, and a score of
 the coefficients against it (`_Geometry.score`, the one scoring path).  Only
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -44,8 +46,8 @@ from .algebra import (
     dedupe_index,
     default_cutoff,
     gram,
+    half_log_factorials,
     normalized,
-    number_amplitudes,
     phase_shift_pi,
     project_photon_number,
     tensor,
@@ -62,9 +64,11 @@ CORRECTIONS = ("none", "phase_only", "sign_only", "phase_plus_sign")
 
 # probability below which an outcome is treated as absent
 PROB_FLOOR = 1e-30
+# relative deviation a record's measured-mode amplitudes may show from weight times class pattern
+PATTERN_TOL = 1e-9
 # largest photon count the outcome table enumerates; its arrays grow with it
 MAX_N_MAX = 200_000
-# bytes of arrays `run_protocol` keeps across calls; one geometry at MAX_N_MAX holds ~32 MB
+# bytes of arrays `run_protocol` keeps across calls; one geometry at MAX_N_MAX holds ~12 MiB
 GEOMETRY_CACHE_BYTES = 64 << 20
 
 
@@ -175,14 +179,15 @@ def correction_codes(ls: np.ndarray, ns: np.ndarray, channel_sign: str) -> np.nd
     return phase + 2 * flip
 
 
+# the correction code of each record class (0, 0), even l, odd l, even n, odd n, on the
+# minus (False) and plus (True) channel
+_CLASS_CODES = {plus: correction_codes([0, 2, 1, 0, 0], [0, 0, 0, 2, 1], "plus" if plus else "minus")
+                for plus in (False, True)}
+
+
 def correction_for(l: int, n: int, channel_sign: str) -> str:
     """The correction of the record (l, n); see `correction_codes`."""
     return CORRECTIONS[int(correction_codes(l, n, channel_sign))]
-
-
-def _quadratic_forms(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Re sum_st f[r, s] weights[s, t] conj(f[r, t]) for every row r of f."""
-    return np.einsum("rt,rt->r", f @ weights, f.conj()).real
 
 
 def _default_plus_amps(amps: np.ndarray) -> np.ndarray:
@@ -231,36 +236,79 @@ def bob_state(folded: CoherentState, m: int, l: int, n: int, sign: str = "minus"
     return state
 
 
+def _count_patterns(pair: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the counts k = 1..n_max on each measured mode, and the
+    patterns of its even and odd counts over the folded labels.
+
+    `pair` holds each folded label's amplitudes on modes m-1 and m (labels x
+    2).  On one mode, with x0 the largest amplitude there and s_t in
+    {0, 1, -1} whether and with which sign label t carries it, k photons
+    there and none on the other mode have amplitude g_k s_t^k on label t, and
+    the weight is |g_k|^2 = |<k|x0>|^2 = exp(-|x0|^2) |x0|^(2k) / k!.
+    Returns the weights (counts x modes) and the patterns (modes x parity,
+    even first, x labels).  A label whose amplitude at some k leaves
+    g_k s_t^k by more than PATTERN_TOL |g_k| raises UnsupportedStructureError.
+    """
+    square = np.abs(pair) ** 2
+    peak = square.max(axis=0)
+    top = pair[np.argmax(square, axis=0), [0, 1]]
+    # a mode vacuum on every label gets zero patterns and zero weights
+    ratio = pair / np.where(top == 0, 1.0, top)
+    on = np.abs(ratio) > 0.5
+    signs = np.where(ratio.real < 0, -1.0, 1.0) * on
+    counts = np.arange(1, n_max + 1)[:, None]
+    with np.errstate(divide="ignore"):  # log 0 = -inf where an amplitude is exactly vacuum
+        log_ratio = np.log(np.where(on, ratio * signs, np.abs(ratio)))
+        # |<k|x0>|^2 as twice the real part of number_amplitudes' exponent, in its order; real
+        # arithmetic keeps a cold build as fast as the complex amplitude matrix it replaces
+        weights = np.exp(2.0 * (-0.5 * peak + counts * np.log(top).real
+                                - half_log_factorials(n_max + 1)[1:, None]))
+    # log(amplitude / (g_k s_t^k)) = c_t + k log(s_t ratio_t) on a label the pattern holds is
+    # linear in k, so its size peaks at k = 1 or n_max; on any other label it peaks at k = 1
+    c = 0.5 * (peak - square - square[:, ::-1])
+    drift = np.where(on, log_ratio, 0.0)
+    spread = np.maximum(np.abs(c + drift), np.abs(c + n_max * drift))
+    if np.any(np.where(on, spread > PATTERN_TOL, c + log_ratio.real > math.log(PATTERN_TOL))):
+        raise UnsupportedStructureError(
+            "measured-mode amplitudes are not a Poisson weight times a class pattern"
+        )
+    return weights, np.array([signs * signs, signs]).transpose(2, 0, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class _Geometry:
     """What the outcome table takes from the labels alone, with no coefficient.
 
-    `ls`, `ns` and `codes` list every (l=0, n) and (l, n=0) record with its
-    correction code, `f` holds their measured-mode amplitudes (records x
-    folded labels), `index` maps each folded label to its class among Bob's
-    deduped labels and `bob_gram` is those classes' Gram matrix over the
-    folded labels.  `classes` holds, for each correction code the records
-    use, the branch signs of Bob's corrected labels, the outer product of
-    the flip it applies (None when it flips nothing) and the Gram matrix of
-    the reference labels against the corrected ones.  Every array is
-    read-only.
+    Records come in (l, n) order: (0, 0), then (0, n) and (l, 0) for counts
+    1..n_max.  Per record, `ls` and `ns` hold its counts, `weights` its
+    Poisson weight (1 for (0, 0)) and `classes` its class: 0 for (0, 0), 1
+    and 2 for even and odd l, 3 and 4 for even and odd n.  Per class,
+    `peaks` holds the largest weight of its records (0 when it has none),
+    `codes` its correction code, `patterns[0]` its measured-mode amplitude
+    pattern over the folded labels, `patterns[1]` that pattern times the
+    branch signs of Bob's corrected labels (all 1 where the correction flips
+    nothing), and `reference_overlaps` the Gram matrix of the reference
+    labels against the corrected ones, signed and taken over the folded
+    labels.  `gram_t` is the transposed Gram matrix of Bob's labels over the
+    folded labels.  Every array is read-only.
     """
 
     ls: np.ndarray
     ns: np.ndarray
+    weights: np.ndarray
+    classes: np.ndarray
+    peaks: np.ndarray
     codes: np.ndarray
-    f: np.ndarray
-    index: np.ndarray
-    bob_gram: np.ndarray
-    classes: tuple[tuple[int, np.ndarray, Optional[np.ndarray], np.ndarray], ...]
+    gram_t: np.ndarray
+    patterns: np.ndarray
+    reference_overlaps: np.ndarray
 
     def __post_init__(self):
         for array in self._arrays():
             array.flags.writeable = False
 
     def _arrays(self) -> list[np.ndarray]:
-        arrays = [self.ls, self.ns, self.codes, self.f, self.index, self.bob_gram]
-        return arrays + [a for entry in self.classes for a in entry[1:] if a is not None]
+        return [getattr(self, field.name) for field in fields(self)]
 
     @property
     def nbytes(self) -> int:
@@ -269,25 +317,26 @@ class _Geometry:
     def score(self, coeffs: np.ndarray, reference_coeffs: np.ndarray) -> ProtocolReport:
         """The outcome table of the folded coefficient matrix `coeffs`, scored
         against the pure reference with coefficients `reference_coeffs`."""
-        probs = _quadratic_forms(self.f, coeffs * self.bob_gram.T)
-        kept = np.flatnonzero(probs >= PROB_FLOOR)
-        ls, ns, codes, f, probs = self.ls[kept], self.ns[kept], self.codes[kept], self.f[kept], probs[kept]
-        fidelity = np.empty(len(kept))
-        for code, signs, flip, reference_gram in self.classes:
-            rows = np.flatnonzero(codes == code)
-            if not rows.size:
-                continue
-            norms = probs[rows]
-            if flip is not None:
-                norms = _quadratic_forms(f[rows], coeffs * self.bob_gram.T * flip)
-            overlaps = (reference_coeffs.conj() @ reference_gram) * signs
-            fidelity[rows] = _quadratic_forms(f[rows] * overlaps[self.index], coeffs) / norms
+        # per class: the probability form Re phi (C o G^T) phi^T, and the same with the flip
+        forms = ((self.patterns @ (coeffs * self.gram_t)) * self.patterns).sum(axis=2).real
+        overlaps = (reference_coeffs.conj() @ self.reference_overlaps) * self.patterns[0]
+        numerators = ((overlaps @ coeffs) * overlaps.conj()).sum(axis=1).real
+        # only classes with a kept record get a fidelity: the odd cat's (0, 0) form is 0 / 0
+        scored = self.peaks * forms[0] >= PROB_FLOOR
+        fidelities = np.divide(numerators, forms[1], out=np.full(len(scored), np.nan), where=scored)
 
-        # Python sums over .tolist() add in record order, as a sum over the rows would
-        succ = (ls != 0) | (ns != 0)
-        p_succ = sum(probs[succ].tolist())
-        mean_f = sum((probs * fidelity)[succ].tolist()) / p_succ if p_succ > 0 else float("nan")
-        return ProtocolReport(ls, ns, probs, codes, fidelity, p_succ, mean_f)
+        probs = self.weights * forms[0][self.classes]
+        kept = np.flatnonzero(probs >= PROB_FLOOR)
+        probs, classes = probs[kept], self.classes[kept]
+        fidelity = fidelities[classes]
+        # success is every record but (0, 0), which comes first; cumsum adds in record
+        # order, as a Python sum over the rows does
+        first = 1 if kept.size and kept[0] == 0 else 0
+        p = probs[first:]
+        p_succ = float(p.cumsum()[-1]) if p.size else 0.0
+        mean_f = float((p * fidelity[first:]).cumsum()[-1]) / p_succ if p_succ > 0 else float("nan")
+        return ProtocolReport(self.ls[kept], self.ns[kept], probs, self.codes[classes], fidelity,
+                              p_succ, mean_f)
 
 
 def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: int, sign: str) -> _Geometry:
@@ -298,25 +347,32 @@ def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: i
         raise AssertionError("fold network left a non-vacuum input mode")
     index, reps = dedupe_index(labels[:, m + 1 :])
     bob = labels[reps, m + 1 :]
-    bob_gram = gram(bob, bob)[np.ix_(index, index)]  # over the folded labels
+    gram_t = gram(bob, bob)[np.ix_(index, index)].T  # over the folded labels
 
-    ls = np.concatenate([np.zeros(n_max + 1, dtype=int), np.arange(1, n_max + 1)])
+    pair = labels[:, m - 1 : m + 1]
+    count_weights, count_patterns = _count_patterns(pair, n_max)
+    vacuum = np.exp(-0.5 * np.abs(pair) ** 2).prod(axis=1)
+    patterns = np.concatenate([vacuum[None], count_patterns.reshape(4, -1)])
+
+    counts = np.arange(1, n_max + 1)
+    ls = np.concatenate([np.zeros(n_max + 1, dtype=int), counts])
     ns = np.concatenate([np.arange(n_max + 1), np.zeros(n_max, dtype=int)])
-    f = number_amplitudes(labels[:, m - 1], n_max)[ls] * number_amplitudes(labels[:, m], n_max)[ns]
-    codes = correction_codes(ls, ns, sign)
-    classes = []
-    # a fixed loop over the classes: np.unique would cost a cold CLI run ~10 ms on first use
-    used = np.bincount(codes, minlength=len(CORRECTIONS)).tolist()
-    for code, what in enumerate(CORRECTIONS):
-        if not used[code]:
-            continue
-        corrected = -bob if what in ("phase_only", "phase_plus_sign") else bob
-        signs, flip = np.ones(len(reps)), None
-        if what in ("sign_only", "phase_plus_sign"):
-            signs = _branch_signs(corrected, _default_plus_amps(corrected))
-            flip = np.outer(signs[index], signs[index])
-        classes.append((code, signs, flip, gram(reference_labels, corrected)))
-    return _Geometry(ls, ns, codes, f, index, bob_gram, tuple(classes))
+    weights = np.concatenate([[1.0], count_weights[:, 1], count_weights[:, 0]])
+    classes = np.concatenate([[0], 3 + counts % 2, 1 + counts % 2])
+    even, odd = count_weights[1::2].max(axis=0, initial=0.0), count_weights[::2].max(axis=0, initial=0.0)
+    peaks = np.concatenate([[1.0], np.stack([even, odd], axis=1).ravel()])
+    codes = _CLASS_CODES[sign == "plus"]
+
+    # Bob's branch signs per class: all 1 unless its correction flips them, and read only
+    # for a class that has records, as Bob's corrected state needs them only there
+    phase, flip = codes % 2, codes // 2  # as CORRECTIONS orders them
+    signs = np.ones((len(codes), len(reps)))
+    for k in np.flatnonzero(flip * np.bincount(classes, minlength=len(codes))).tolist():
+        corrected = -bob if phase[k] else bob
+        signs[k] = _branch_signs(corrected, _default_plus_amps(corrected))
+    overlaps = np.array([gram(reference_labels, bob), gram(reference_labels, -bob)])[phase] * signs[:, None]
+    patterns = np.array([patterns, patterns * signs[:, index]])
+    return _Geometry(ls, ns, weights, classes, peaks, codes, gram_t, patterns, overlaps[:, :, index])
 
 
 def enumerate_outcomes(
@@ -340,17 +396,29 @@ def enumerate_outcomes(
     straight from arrays with no per-record Python; `bob_state` builds Bob's
     state for any record.
 
-    Pure and operator states share one vectorized pass.  With C the folded
-    coefficient matrix (c c^H for a pure state), f[r, t] = <l_r|a_t,m-1>
-    <n_r|a_t,m> the measured-mode amplitudes of label t for record r, and G
-    the Gram matrix of Bob's labels (which no record changes), every record's
-    probability is tr((C o f f^H) G).  Each correction negates every label or
-    none and flips the sign of the -branch or not, so one overlap vector
-    between the reference and the corrected labels scores all records of
-    that correction at once.  f, G and those overlaps' Gram matrices depend
-    on the labels alone: they form the `_Geometry`, which `run_protocol`
-    keeps across calls, and only its `score` reads C and the reference's
-    coefficients.
+    Pure and operator states share one pass.  Let C be the folded
+    coefficient matrix (c c^H for a pure state), G the Gram matrix of Bob's
+    labels, which no record changes, and f_r[t] = <l|a_t><n|b_t> the
+    measured-mode amplitudes of record r = (l, n) on folded label t, whose
+    amplitudes on modes m-1 and m are a_t and b_t.  The record's probability
+    is then f_r (C o G^T) f_r^H.  The fold leaves every label vacuum on one
+    measured mode, and on the other it carries +x0 or -x0, the same amplitude
+    for every label of that mode.  So f_r for (l, 0) is g_l s^l, where s_t
+    in {0, 1, -1} says whether and with which sign label t carries x0 on mode
+    m-1, and |g_l|^2 = exp(-|x0|^2) |x0|^(2l) / l! is a Poisson weight; (0, n)
+    is alike on mode m.  s^l depends on l only through its parity, so the
+    records fall into five classes with one pattern phi_k each: (0, 0) (its
+    own vacuum amplitudes, weight 1), even l, odd l, even n and odd n.  A
+    record's probability is its weight times its class's form
+    q_k = phi_k (C o G^T) phi_k^T.  Its fidelity is a ratio of two such
+    forms, so the weight cancels and every record of a class shares one:
+    each correction negates every label or none and flips the sign of the
+    -branch or not, and the correction is fixed by the class.  The weights,
+    patterns, G and the reference overlaps depend on the labels alone: they
+    form the `_Geometry`, which `run_protocol` keeps across calls, and only
+    its `score` reads C and the reference's coefficients.  A state whose
+    measured-mode amplitudes do not factor this way raises
+    UnsupportedStructureError.
     """
     geometry = _geometry(folded.labels, reference.labels, m, n_max, sign)
     return geometry.score(folded.density(), reference.coeffs)
@@ -456,7 +524,7 @@ def run_protocol(
         n_max = default_n_max(m, beta)
         if n_max > MAX_N_MAX:
             raise ValueError(
-                f"outcome table needs photon counts up to {n_max} (limit {MAX_N_MAX}); lower m or alpha"
+                f"outcome table needs photon counts up to {n_max:.3g} (limit {MAX_N_MAX}); lower m or alpha"
             )
     inp = build_input(m, beta, kappa1, kappa2)
 

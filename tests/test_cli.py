@@ -150,6 +150,18 @@ def test_huge_alpha_is_a_usage_error(capsys, argv):
     assert "lower m or alpha" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv,count", [
+    (["teleport", "--alpha", "1e150"], "8e+300"),
+    (["channel-info", "--alpha", "1e150"], "4e+300"),
+])
+def test_oversized_counts_print_in_short_form(capsys, argv, count):
+    # the photon count and the cutoff printed with 301 and 300 digits
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert count in captured.err and len(captured.err) < 200 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["figures", "fig2", "--alpha-range", "0", "1e200", "3"],
     ["figures", "fig1", "--alpha-range", "0", "1e200", "3"],

@@ -3,6 +3,7 @@ closed-form success probabilities, and the dual-engine outcome-table check."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecs_teleport import fock, teleport
-from ecs_teleport.algebra import fidelity, project_photon_number, tensor
+from ecs_teleport.algebra import (
+    CoherentState,
+    UnsupportedStructureError,
+    fidelity,
+    number_amplitudes,
+    project_photon_number,
+    tensor,
+)
 from ecs_teleport.channels import ChannelSpec, build_channel, build_input
 from ecs_teleport.noise import channel_fidelity, lossy_channel_operator, teleported_fidelity_exact
 from ecs_teleport.teleport import (
@@ -356,20 +364,111 @@ def _reference_table(folded, m, n_max, sign, reference):
     return table
 
 
+KAPPA_PAIRS = [(0.8, -0.35 + 0.45j), (0.6 + 0.1j, -0.3 + 0.7j), (0.2j, 0.9)]
+
+
+def _warm_runs_match_reference(geometries, m, alpha, sign, eta, tol):
+    """Three inputs scored against one cached geometry, each against its own
+    per-record reference table."""
+    n_max = 24
+    for k1, k2 in KAPPA_PAIRS:
+        report = run_protocol(m, alpha, k1, k2, sign, n_max, eta)
+        folded, inp = _folded(m, alpha, eta, k1, k2, sign)
+        table = _reference_table(folded, m, n_max, sign, inp)
+        assert [(o.l, o.n) for o in report.outcomes] == sorted(table)
+        for o in report.outcomes:
+            prob, correction, fid = table[(o.l, o.n)]
+            assert o.correction == correction
+            assert abs(o.probability - prob) < tol
+            assert abs(o.fidelity - fid) < tol
+    assert len(geometries) == 1
+
+
+@pytest.mark.parametrize("alpha", (0.3, 2.0))
 @pytest.mark.parametrize("eta", (1.0, 0.3, 0.9))
 @pytest.mark.parametrize("sign", ("minus", "plus"))
 @pytest.mark.parametrize("m", (1, 2, 3, 4))
-def test_kernel_matches_per_record_reference(m, sign, eta):
-    alpha, n_max = 0.9, 24
-    folded, inp = _folded(m, alpha, eta, 0.8, -0.35 + 0.45j, sign)
-    report = enumerate_outcomes(folded, m, n_max, sign=sign, reference=inp)
-    table = _reference_table(folded, m, n_max, sign, inp)
-    assert [(o.l, o.n) for o in report.outcomes] == sorted(table)
-    for o in report.outcomes:
-        prob, correction, fid = table[(o.l, o.n)]
-        assert o.correction == correction
-        assert abs(o.probability - prob) < 1e-12
-        assert abs(o.fidelity - fid) < 1e-12
+def test_kernel_matches_per_record_reference(geometries, m, sign, eta, alpha):
+    _warm_runs_match_reference(geometries, m, alpha, sign, eta, 1e-12)
+
+
+@pytest.mark.parametrize("eta", (1.0, 0.3))
+@pytest.mark.parametrize("sign", ("minus", "plus"))
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_kernel_matches_per_record_reference_at_small_alpha(geometries, m, sign, eta):
+    # the parity forms cancel terms of order 1 down to order alpha^2, so rounding
+    # grows as 1 / alpha^2 on both sides: 1e-12 apart at alpha = 0.01
+    _warm_runs_match_reference(geometries, m, 0.01, sign, eta, 1e-10)
+
+
+@pytest.mark.parametrize("m,alpha,sign,eta", [
+    (1, 0.3, "minus", 1.0), (3, 1.0, "plus", 0.6), (6, 0.8 - 0.4j, "minus", 0.3), (8, 2.0, "plus", 1.0),
+])
+def test_record_amplitudes_are_weight_times_class_pattern(m, alpha, sign, eta):
+    folded, inp = _folded(m, alpha, eta, 0.6 + 0.1j, -0.3 + 0.7j, sign)
+    n_max = default_n_max(m, math.sqrt(eta) * alpha)
+    geometry = teleport._geometry(folded.labels, inp.labels, m, n_max, sign)
+    # <l|a_t><n|b_t> of every record on every folded label, as a dense reference
+    amps = (number_amplitudes(folded.labels[:, m - 1], n_max)[geometry.ls]
+            * number_amplitudes(folded.labels[:, m], n_max)[geometry.ns])
+    patterns = geometry.patterns[0][geometry.classes]
+    # (0, 0) is its own class: weight 1, its vacuum amplitudes the pattern
+    assert geometry.weights[0] == 1.0 and np.allclose(amps[0], patterns[0], rtol=1e-14, atol=0)
+    amps, patterns = amps[1:], patterns[1:]
+    assert set(np.unique(patterns)) <= {-1.0, 0.0, 1.0}
+    g = np.sum(amps * patterns, axis=1) / np.sum(patterns * patterns, axis=1)
+    assert np.all(np.abs(amps - g[:, None] * patterns) <= 1e-11 * np.abs(g)[:, None])
+    assert np.allclose(np.abs(g) ** 2, geometry.weights[1:], rtol=1e-12, atol=1e-300)
+    assert np.array_equal(geometry.codes[geometry.classes],
+                          correction_codes(geometry.ls, geometry.ns, sign))
+
+
+def _nudged(folded, mode, change):
+    """The m = 3 folded state with `change` applied on `mode` of the first label lit on mode 3."""
+    labels = folded.labels.copy()
+    t = np.flatnonzero(np.abs(labels[:, 3]) > 0.5)[0]
+    labels[t, mode] = change(labels[t, mode])
+    return CoherentState(labels, folded.coeffs)
+
+
+@pytest.mark.parametrize("mode,change", [
+    (3, lambda a: a * (1 + 1e-6)),
+    (3, lambda a: a * 1j),
+    (2, lambda a: 1e-3),
+], ids=["magnitude", "phase", "both-measured-modes-lit"])
+def test_amplitudes_off_the_class_pattern_raise(mode, change):
+    folded, inp = _folded(3, 1.0, 0.6, 0.6, 0.8, "minus")
+    with pytest.raises(UnsupportedStructureError, match="class pattern"):
+        enumerate_outcomes(_nudged(folded, mode, change), 3, 30, reference=inp)
+
+
+def test_rounding_stays_inside_the_class_pattern():
+    folded, inp = _folded(3, 1.0, 0.6, 0.6, 0.8, "minus")
+    report = enumerate_outcomes(_nudged(folded, 3, lambda a: a * (1 + 1e-13)), 3, 30, reference=inp)
+    assert abs(report.total_probability - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("eta", (1.0, 0.6))
+@pytest.mark.parametrize("sign", ("minus", "plus"))
+@pytest.mark.parametrize("alpha", (0.01, 0.3, 1.0))
+def test_odd_cat_vacuum_record_is_empty(alpha, sign, eta):
+    # the odd cat has no vacuum term, so its (0, 0) form is 0 / 0 up to rounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for m in (1, 3, 8):
+            rep = run_protocol(m, alpha, 0.6 - 0.3j, -0.6 + 0.3j, sign, eta=eta)
+            vacuum = rep.outcome(0, 0)
+            assert vacuum is None or vacuum.probability <= 1e-12
+            assert abs(rep.success_probability - 1.0) < 1e-9
+
+
+def test_geometry_at_max_n_max_fits_the_cache_bound():
+    folded, inp = _folded(3, 1.0, 0.6, 0.6, 0.8, "minus")
+    small, large = (teleport._geometry(folded.labels, inp.labels, 3, n, "minus") for n in (10, 20))
+    per_record = (large.nbytes - small.nbytes) // 20  # two records per count
+    fixed = small.nbytes - per_record * 21
+    channel = lossy_channel_operator(3, 1.0, 0.6, "minus").coeffs.nbytes
+    assert fixed + channel + per_record * (2 * teleport.MAX_N_MAX + 1) <= teleport.GEOMETRY_CACHE_BYTES
 
 
 @pytest.mark.parametrize("m,alpha,sign,eta", [
@@ -518,7 +617,7 @@ def test_cached_arrays_are_read_only(geometries):
     first = run_protocol(3, 1.0, 0.6, 0.8, eta=0.6)
     ((geometry, channel),) = geometries._entries.values()
     arrays = geometry._arrays() + [channel]
-    assert len(arrays) == 6 + 2 * 2 + 2 * 3 + 1  # labels, 2 classes with no flip, 2 with one, channel
+    assert len(arrays) == 4 + 5 + 1  # 4 per-record columns, 5 per-class or per-label arrays, channel
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
@@ -578,7 +677,7 @@ BAD_ARGUMENTS = [
     (dict(m=3, kappa1=0, kappa2=0, n_max=0), ValueError, "kappa1 and kappa2 must not both vanish"),
     (dict(m=3, kappa1=1, kappa2=1, n_max=0, sign="bogus"), ValueError, "sign must be 'plus' or 'minus'"),
     (dict(m=20, kappa1=1, kappa2=1), ValueError,
-     "outcome table needs photon counts up to 1058837 (limit 200000); lower m or alpha"),
+     "outcome table needs photon counts up to 1.06e+06 (limit 200000); lower m or alpha"),
     (dict(m=3, alpha=math.nan, kappa1=1, kappa2=1, n_max=5), ValueError,
      "coefficients and coherent amplitudes must be finite"),
     (dict(m=3, alpha=math.inf, kappa1=1, kappa2=1), OverflowError,
