@@ -60,20 +60,19 @@ def gram(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
 
 
 def dedupe_index(labels: np.ndarray, tol: float = LABEL_TOL) -> tuple[np.ndarray, list[int]]:
-    """Greedy merge of labels that agree within `tol` per mode.
+    """Greedy merge of labels that agree within `tol` per mode: each row joins
+    the first class whose first member is that close, else starts one.
 
     Returns each row's class index and the row of each class's first member.
     """
-    index = np.empty(len(labels), dtype=int)
-    reps: list[int] = []
-    for t, row in enumerate(labels):
-        same = np.flatnonzero(np.all(np.abs(labels[reps] - row) <= tol, axis=1)) if reps else ()
-        if len(same):
-            index[t] = same[0]
-        else:
-            index[t] = len(reps)
+    close = np.all(np.abs(labels[:, None] - labels) <= tol, axis=2).tolist()
+    index, reps = [], []
+    for t, row in enumerate(close):
+        k = next((k for k, rep in enumerate(reps) if row[rep]), len(reps))
+        if k == len(reps):
             reps.append(t)
-    return index, reps
+        index.append(k)
+    return np.array(index, dtype=int), reps
 
 
 # lgamma(n + 1) / 2 for n below the largest count asked for, grown by `half_log_factorials`
@@ -94,10 +93,10 @@ def half_log_factorials(count: int) -> np.ndarray:
     return table[:count]
 
 
-def number_amplitudes(beta: np.ndarray, n_max: int) -> np.ndarray:
-    """A[n, t] = <n|beta_t> for n = 0..n_max, in log space so large counts never overflow."""
-    counts = np.arange(n_max + 1)
-    half_log_fact = half_log_factorials(n_max + 1)
+def number_amplitudes(beta: np.ndarray, n_max: int, n_min: int = 0) -> np.ndarray:
+    """A[n - n_min, t] = <n|beta_t> for n = n_min..n_max, in log space so large counts never overflow."""
+    counts = np.arange(n_min, n_max + 1)
+    half_log_fact = half_log_factorials(n_max + 1)[n_min:]
     vacuum = beta == 0
     log_beta = np.log(np.where(vacuum, 1.0, beta))
     amps = np.exp(
@@ -165,17 +164,17 @@ class CoherentState:
 
     def density(self) -> np.ndarray:
         """Coefficient matrix of the operator form: c c^H for a pure state."""
-        return np.outer(self.coeffs, self.coeffs.conj()) if self.is_pure else self.coeffs
+        return self.coeffs[:, None] * self.coeffs.conj() if self.is_pure else self.coeffs
 
     def trace(self) -> complex:
         """<x|x> for a pure state, tr(rho) for an operator."""
         # tr(|j><k|) = <k|j>, i.e. G[k, j]
-        return complex(np.sum(self.density() * gram(self.labels, self.labels).T))
+        return complex((self.density() * gram(self.labels, self.labels).T).sum())
 
     def weighted(self, w: np.ndarray) -> "CoherentState":
         """The state with every ket |label_t> replaced by w[t] |label_t>."""
-        coeffs = self.coeffs * w if self.is_pure else self.coeffs * np.outer(w, np.conj(w))
-        return replace(self, coeffs=coeffs)
+        coeffs = self.coeffs * w if self.is_pure else self.coeffs * (w[:, None] * np.conj(w))
+        return CoherentState(self.labels, coeffs)
 
 
 def superposition(pairs: Iterable[tuple[complex, Sequence[complex]]]) -> CoherentState:
@@ -258,18 +257,20 @@ def phase_shift_pi(state: CoherentState, modes: Iterable[int]) -> CoherentState:
     return replace(state, labels=labels)
 
 
-def project_photon_number(state: CoherentState, mode: int, n: int) -> tuple[CoherentState, float]:
-    """Project mode `mode` onto the n-photon state.
-
-    Returns the unnormalized conditional state on the remaining modes and the
-    outcome probability (its squared norm or trace).
-    """
+def projected(state: CoherentState, mode: int, n: int) -> CoherentState:
+    """The unnormalized conditional state on the other modes after mode
+    `mode` is projected onto the n-photon state."""
     if n < 0:
         raise ValueError("photon number must be nonnegative")
     check_modes(state.mode_count, (mode,))
-    f = number_amplitudes(state.labels[:, mode], n)[n]
-    rest = CoherentState(np.delete(state.labels, mode, axis=1), state.coeffs)
-    reduced = dedupe(rest.weighted(f))
+    f = number_amplitudes(state.labels[:, mode], n, n)[0]
+    rest = CoherentState(state.labels[:, np.arange(state.mode_count) != mode], state.coeffs)
+    return dedupe(rest.weighted(f))
+
+
+def project_photon_number(state: CoherentState, mode: int, n: int) -> tuple[CoherentState, float]:
+    """`projected`, and the outcome probability (its squared norm or trace)."""
+    reduced = projected(state, mode, n)
     return reduced, max(reduced.trace().real, 0.0)
 
 

@@ -82,19 +82,31 @@ def build_channel(spec: ChannelSpec) -> CoherentState:
     return normalized(raw)
 
 
-def build_input(
-    m: int, alpha: complex, kappa1: complex, kappa2: complex
-) -> CoherentState:
-    """Normalized m-mode state kappa1 |+branch> + kappa2 |-branch>; `superposition`
-    rejects a non-finite alpha or kappa."""
-    if abs(alpha) < MIN_AMPLITUDE:
-        raise ValueError(f"|alpha| must be >= {MIN_AMPLITUDE}")
+def input_coefficients(kappa1: complex, kappa2: complex, label_gram) -> np.ndarray:
+    """(kappa1, kappa2) normalized against the input labels' 2x2 Gram matrix,
+    got from `label_gram()` after the vanish check, so a bad m raises next."""
     if kappa1 == 0 and kappa2 == 0:
         raise ValueError("kappa1 and kappa2 must not both vanish")
-    amps = input_amplitudes(m, alpha)
-    neg = tuple(-a for a in amps)
-    raw = superposition([(kappa1, amps), (kappa2, neg)])
-    return normalized(raw)
+    # the Gram matrix is finite exactly when the amplitudes are, short of overflow
+    g, coeffs = label_gram(), np.array([kappa1, kappa2], dtype=complex)
+    if not (np.isfinite(coeffs).all() and np.isfinite(g).all()):
+        raise ValueError("coefficients and coherent amplitudes must be finite")
+    t = (coeffs[:, None] * coeffs.conj() * g.T).sum().real  # as `CoherentState.trace` sums it
+    if t < 1e-300:
+        raise ValueError("cannot normalize a null state")
+    return coeffs / math.sqrt(t)
+
+
+def build_input(m: int, alpha: complex, kappa1: complex, kappa2: complex) -> CoherentState:
+    """Normalized m-mode state kappa1 |+branch> + kappa2 |-branch>."""
+    if abs(alpha) < MIN_AMPLITUDE:
+        raise ValueError(f"|alpha| must be >= {MIN_AMPLITUDE}")
+
+    def labels() -> np.ndarray:
+        amps = input_amplitudes(m, alpha)
+        return np.array([amps, tuple(-a for a in amps)], dtype=complex)
+    coeffs = input_coefficients(kappa1, kappa2, lambda: gram(labels(), labels()))
+    return CoherentState(labels(), coeffs)
 
 
 def _partition_energy(spec: ChannelSpec, part_a) -> tuple[float, float]:

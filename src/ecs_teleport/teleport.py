@@ -10,22 +10,17 @@ pair (mode m-1, mode m).  Bob holds modes m+1..2m.
 `run_protocol` is the one protocol driver.  The channel always passes
 through photon loss of transmissivity eta; the lossless protocol is its
 eta = 1 run, where the loss is the identity.  `enumerate_outcomes` computes
-the whole outcome table in one vectorized pass.  The fold leaves every label
-vacuum on one measured mode and +-x0 on the other, so each record's
-measured-mode amplitudes are a Poisson weight times one of five class
-patterns: (0, 0), even and odd counts on either measured mode.  A record's
-probability is its weight times one quadratic form of its class, and its
-fidelity is its class's.  `bob_state` builds Bob's corrected state for one
-record on demand.
+the whole outcome table in one vectorized pass over five record classes,
+each a Poisson weight per record times one quadratic form per class;
+`bob_state` builds Bob's corrected state for one record on demand.
 
-The table splits into a geometry, built from labels alone, and a score of
-the coefficients against it (`_Geometry.score`, the one scoring path).  Only
-the input's kappa1 and kappa2 change from one run on a channel to the next,
-so `run_protocol` caches each geometry, with the lossy channel's
-coefficient matrix, under the key (m, alpha, eta, sign, resolved n_max),
-each part matched by type, dtype and exact bits.  The cache drops the least
-recently used entries to hold at most GEOMETRY_CACHE_BYTES (64 MiB) of
-arrays, and keeps none larger than that.
+The table splits into a `_Geometry`, built from the folded labels and the
+right Kronecker factor F of the folded coefficient matrix c c^H (x) F (for a
+run, the lossy channel's matrix), and its `score` of the input coefficients
+c, the one scoring path.  `run_protocol` caches each geometry under the key
+(m, alpha, eta, sign, resolved n_max), each part matched by type, dtype and
+exact bits, and drops the least recently used entries to hold at most
+GEOMETRY_CACHE_BYTES (64 MiB) of arrays.
 """
 
 from __future__ import annotations
@@ -49,10 +44,10 @@ from .algebra import (
     half_log_factorials,
     normalized,
     phase_shift_pi,
-    project_photon_number,
+    projected,
     tensor,
 )
-from .channels import build_input
+from .channels import build_input, input_coefficients
 from .noise import lossy_channel_operator
 
 # Corrections Bob may apply after hearing (l, n):
@@ -68,7 +63,7 @@ PROB_FLOOR = 1e-30
 PATTERN_TOL = 1e-9
 # largest photon count the outcome table enumerates; its arrays grow with it
 MAX_N_MAX = 200_000
-# bytes of arrays `run_protocol` keeps across calls; one geometry at MAX_N_MAX holds ~12 MiB
+# bytes of arrays `run_protocol` keeps; an entry holds 32 B per record (~12 MiB at MAX_N_MAX) + ~1 KiB
 GEOMETRY_CACHE_BYTES = 64 << 20
 
 
@@ -124,7 +119,7 @@ class ProtocolReport:
 
     @property
     def total_probability(self) -> float:
-        return sum(self.probability.tolist())
+        return float(self.probability.cumsum()[-1]) if self.probability.size else 0.0  # in row order
 
     def outcome(self, l: int, n: int) -> Optional[ProtocolOutcome]:
         """The record (l, n), or None when the table does not hold it."""
@@ -222,10 +217,9 @@ def bob_state(folded: CoherentState, m: int, l: int, n: int, sign: str = "minus"
     sign flip |+branch> -> |+branch>, |-branch> -> -|-branch> is not unitary
     on non-orthogonal branches, so the flipped state is renormalized.
     """
-    state, _ = project_photon_number(folded, m, n)
-    state, _ = project_photon_number(state, m - 1, l)
+    state = projected(projected(folded, m, n), m - 1, l)
     for _ in range(m - 1):
-        state, _ = project_photon_number(state, 0, 0)
+        state = projected(state, 0, 0)
     state = normalized(state)
     what = correction_for(l, n, sign)
     if what in ("phase_only", "phase_plus_sign"):
@@ -236,18 +230,18 @@ def bob_state(folded: CoherentState, m: int, l: int, n: int, sign: str = "minus"
     return state
 
 
-def _count_patterns(pair: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of the counts k = 1..n_max on each measured mode, and the
-    patterns of its even and odd counts over the folded labels.
+def _class_patterns(pair: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the counts k = 1..n_max on each measured mode (counts x
+    modes), and each record class's pattern over the folded labels.
 
     `pair` holds each folded label's amplitudes on modes m-1 and m (labels x
     2).  On one mode, with x0 the largest amplitude there and s_t in
     {0, 1, -1} whether and with which sign label t carries it, k photons
     there and none on the other mode have amplitude g_k s_t^k on label t, and
-    the weight is |g_k|^2 = |<k|x0>|^2 = exp(-|x0|^2) |x0|^(2k) / k!.
-    Returns the weights (counts x modes) and the patterns (modes x parity,
-    even first, x labels).  A label whose amplitude at some k leaves
-    g_k s_t^k by more than PATTERN_TOL |g_k| raises UnsupportedStructureError.
+    the weight is |g_k|^2 = |<k|x0>|^2 = exp(-|x0|^2) |x0|^(2k) / k!.  The
+    patterns are (0, 0)'s vacuum amplitudes, s^2 and s on mode m-1, then on
+    mode m.  A label whose amplitude at some k leaves g_k s_t^k by more than
+    PATTERN_TOL |g_k| raises UnsupportedStructureError.
     """
     square = np.abs(pair) ** 2
     peak = square.max(axis=0)
@@ -272,25 +266,27 @@ def _count_patterns(pair: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarra
         raise UnsupportedStructureError(
             "measured-mode amplitudes are not a Poisson weight times a class pattern"
         )
-    return weights, np.array([signs * signs, signs]).transpose(2, 0, 1)
+    vacuum, even = np.exp(-0.5 * square).prod(axis=1), signs * signs
+    return weights, np.array([vacuum, even[:, 0], signs[:, 0], even[:, 1], signs[:, 1]])
 
 
 @dataclass(frozen=True, eq=False)
 class _Geometry:
-    """What the outcome table takes from the labels alone, with no coefficient.
+    """What the outcome table takes from all but the input's coefficients c.
 
-    Records come in (l, n) order: (0, 0), then (0, n) and (l, 0) for counts
-    1..n_max.  Per record, `ls` and `ns` hold its counts, `weights` its
-    Poisson weight (1 for (0, 0)) and `classes` its class: 0 for (0, 0), 1
-    and 2 for even and odd l, 3 and 4 for even and odd n.  Per class,
-    `peaks` holds the largest weight of its records (0 when it has none),
-    `codes` its correction code, `patterns[0]` its measured-mode amplitude
-    pattern over the folded labels, `patterns[1]` that pattern times the
-    branch signs of Bob's corrected labels (all 1 where the correction flips
-    nothing), and `reference_overlaps` the Gram matrix of the reference
-    labels against the corrected ones, signed and taken over the folded
-    labels.  `gram_t` is the transposed Gram matrix of Bob's labels over the
-    folded labels.  Every array is read-only.
+    Per record in (l, n) order ((0, 0), then (0, n) and (l, 0) for counts
+    1..n_max): `ls`, `ns`, its Poisson weight `weights` (1 for (0, 0)) and
+    `classes`: 0 for (0, 0), 1 and 2 for even and odd l, 3 and 4 for even and
+    odd n.  Per class: `peaks`, its records' largest weight (0 if none), and
+    `codes`, its correction code.  With C = rho (x) F, rho = c c^H over A
+    input labels and F over K, folded label s = a K + i and q_k = phi_k (C o
+    G^T) phi_k^T (see `enumerate_outcomes`) is sum_ab rho_ab M_kab, M_kab =
+    sum_il phi_k,aK+i F_il G_bK+l,aK+i phi_k,bK+l.  `forms` (2 x classes x
+    A*A) holds M, then M with phi_k times the branch signs of Bob's corrected
+    labels (his corrected norm); `overlaps` (classes x A x references x K)
+    the signed reference overlaps of the corrected labels times phi_k;
+    `factor` F; `reference_gram` the reference labels' Gram matrix, which
+    normalizes a run's input.  Every array is read-only.
     """
 
     ls: np.ndarray
@@ -299,9 +295,10 @@ class _Geometry:
     classes: np.ndarray
     peaks: np.ndarray
     codes: np.ndarray
-    gram_t: np.ndarray
-    patterns: np.ndarray
-    reference_overlaps: np.ndarray
+    forms: np.ndarray
+    overlaps: np.ndarray
+    factor: np.ndarray
+    reference_gram: np.ndarray
 
     def __post_init__(self):
         for array in self._arrays():
@@ -315,12 +312,12 @@ class _Geometry:
         return sum(a.nbytes for a in self._arrays())
 
     def score(self, coeffs: np.ndarray, reference_coeffs: np.ndarray) -> ProtocolReport:
-        """The outcome table of the folded coefficient matrix `coeffs`, scored
-        against the pure reference with coefficients `reference_coeffs`."""
-        # per class: the probability form Re phi (C o G^T) phi^T, and the same with the flip
-        forms = ((self.patterns @ (coeffs * self.gram_t)) * self.patterns).sum(axis=2).real
-        overlaps = (reference_coeffs.conj() @ self.reference_overlaps) * self.patterns[0]
-        numerators = ((overlaps @ coeffs) * overlaps.conj()).sum(axis=1).real
+        """The outcome table of the input coefficients `coeffs`, scored against
+        the pure reference with coefficients `reference_coeffs`."""
+        forms = (self.forms @ (coeffs[:, None] * coeffs.conj()).ravel()).real
+        # c goes into w before F: a quartic form in c cancels to a few digits where a class nearly vanishes
+        w = coeffs @ (reference_coeffs.conj() @ self.overlaps)
+        numerators = ((w @ self.factor) * w.conj()).sum(axis=1).real
         # only classes with a kept record get a fidelity: the odd cat's (0, 0) form is 0 / 0
         scored = self.peaks * forms[0] >= PROB_FLOOR
         fidelities = np.divide(numerators, forms[1], out=np.full(len(scored), np.nan), where=scored)
@@ -339,20 +336,16 @@ class _Geometry:
                               p_succ, mean_f)
 
 
-def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: int, sign: str) -> _Geometry:
-    """The `_Geometry` of a folded label array scored against `reference_labels`."""
+def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: int, sign: str,
+              factor: np.ndarray) -> _Geometry:
+    """The `_Geometry` of folded labels whose coefficient matrix is rho (x) `factor`."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if np.any(np.abs(labels[:, : m - 1]) > 1e-9):
         raise AssertionError("fold network left a non-vacuum input mode")
     index, reps = dedupe_index(labels[:, m + 1 :])
     bob = labels[reps, m + 1 :]
-    gram_t = gram(bob, bob)[np.ix_(index, index)].T  # over the folded labels
-
-    pair = labels[:, m - 1 : m + 1]
-    count_weights, count_patterns = _count_patterns(pair, n_max)
-    vacuum = np.exp(-0.5 * np.abs(pair) ** 2).prod(axis=1)
-    patterns = np.concatenate([vacuum[None], count_patterns.reshape(4, -1)])
+    count_weights, patterns = _class_patterns(labels[:, m - 1 : m + 1], n_max)
 
     counts = np.arange(1, n_max + 1)
     ls = np.concatenate([np.zeros(n_max + 1, dtype=int), counts])
@@ -371,8 +364,14 @@ def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: i
         corrected = -bob if phase[k] else bob
         signs[k] = _branch_signs(corrected, _default_plus_amps(corrected))
     overlaps = np.array([gram(reference_labels, bob), gram(reference_labels, -bob)])[phase] * signs[:, None]
-    patterns = np.array([patterns, patterns * signs[:, index]])
-    return _Geometry(ls, ns, weights, classes, peaks, codes, gram_t, patterns, overlaps[:, :, index])
+    # folded label s = a K + i as the pair (a, i); C o G^T with rho left out, over (a, i, b, l)
+    shape = (len(codes), len(labels) // len(factor), len(factor))
+    phi = np.array([patterns, patterns * signs[:, index]]).reshape(2, *shape)
+    weighted_gram = gram(bob, bob)[np.ix_(index, index)].T.reshape(shape[1:] * 2) * factor[:, None]
+    forms = np.einsum("jcai,aibl,jcbl->jcab", phi, weighted_gram, phi).reshape(2, len(codes), -1)
+    overlaps = (overlaps[:, :, index] * patterns[:, None]).reshape(shape[0], -1, *shape[1:])
+    return _Geometry(ls, ns, weights, classes, peaks, codes, forms, overlaps.transpose(0, 2, 1, 3), factor,
+                     gram(reference_labels, reference_labels))
 
 
 def enumerate_outcomes(
@@ -413,15 +412,14 @@ def enumerate_outcomes(
     q_k = phi_k (C o G^T) phi_k^T.  Its fidelity is a ratio of two such
     forms, so the weight cancels and every record of a class shares one:
     each correction negates every label or none and flips the sign of the
-    -branch or not, and the correction is fixed by the class.  The weights,
-    patterns, G and the reference overlaps depend on the labels alone: they
-    form the `_Geometry`, which `run_protocol` keeps across calls, and only
-    its `score` reads C and the reference's coefficients.  A state whose
-    measured-mode amplitudes do not factor this way raises
+    -branch or not, and the correction is fixed by the class.  The
+    `_Geometry` takes C as rho (x) F; here rho = [1] and F = C, where
+    `run_protocol` has the input's two labels and the channel's matrix.  A
+    state whose measured-mode amplitudes do not factor this way raises
     UnsupportedStructureError.
     """
-    geometry = _geometry(folded.labels, reference.labels, m, n_max, sign)
-    return geometry.score(folded.density(), reference.coeffs)
+    geometry = _geometry(folded.labels, reference.labels, m, n_max, sign, folded.density())
+    return geometry.score(np.ones(1, dtype=complex), reference.coeffs)
 
 
 def transmitted_amplitude(alpha: complex, eta: float) -> complex:
@@ -436,38 +434,29 @@ def transmitted_amplitude(alpha: complex, eta: float) -> complex:
 
 
 class _GeometryCache:
-    """Least-recently-used map of (geometry, channel coefficient matrix)
-    pairs, bounded by the bytes of their arrays.
-
-    An entry larger than the bound is returned but not kept.
-    """
+    """Least-recently-used map of geometries, bounded by the bytes of their
+    arrays.  An entry larger than the bound is returned but not kept."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._entries: OrderedDict[tuple, tuple[_Geometry, np.ndarray]] = OrderedDict()
+        self._entries: OrderedDict[tuple, _Geometry] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @staticmethod
-    def size(entry: tuple[_Geometry, np.ndarray]) -> int:
-        return entry[0].nbytes + entry[1].nbytes
-
-    def get(
-        self, key: tuple, build: Callable[[], tuple[_Geometry, np.ndarray]]
-    ) -> tuple[_Geometry, np.ndarray]:
+    def get(self, key: tuple, build: Callable[[], _Geometry]) -> _Geometry:
         """The entry held under `key`, else `build()`'s, kept if it fits."""
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
         entry = build()
-        if self.size(entry) <= self.max_bytes:
+        if entry.nbytes <= self.max_bytes:
             self._entries[key] = entry
-            self.nbytes += self.size(entry)
+            self.nbytes += entry.nbytes
             while self.nbytes > self.max_bytes:
-                self.nbytes -= self.size(self._entries.popitem(last=False)[1])
+                self.nbytes -= self._entries.popitem(last=False)[1].nbytes
         return entry
 
 
@@ -509,15 +498,14 @@ def run_protocol(
     rules).  A default n_max above MAX_N_MAX is refused: the table would not
     fit, and a truncated one would hide mass.
 
-    Only the input's two coefficients depend on kappa1 and kappa2, so each
-    call builds the input and scores it against a cached `_Geometry` and the
-    lossy channel's coefficient matrix.  The key is (m, alpha, eta, sign,
-    n_max) after n_max is resolved, each part compared by type, dtype and
-    exact bits, so 0.0 and -0.0 key apart; the cache keeps the entries last
-    used, up to GEOMETRY_CACHE_BYTES (64 MiB) of arrays.  The input is built
-    before the lookup and a miss runs the rest of the chain (lose, fold), so
-    every check raises where and as it would without the cache, and nothing
-    is cached when one fails.
+    Only the input's coefficients c depend on kappa1 and kappa2, so the
+    `_Geometry` with the channel's matrix as F and the input as reference is
+    cached under (m, alpha, eta, sign, n_max) after n_max is resolved, each
+    part compared by type, dtype and exact bits (0.0 and -0.0 key apart), up
+    to GEOMETRY_CACHE_BYTES of arrays, and each call scores c alone.  A miss
+    builds the input, loses and folds, so every check raises where and as it
+    would without the cache and nothing is cached when one fails; a hit can
+    fail only `channels.input_coefficients`' kappa checks.
     """
     beta = transmitted_amplitude(alpha, eta)
     if n_max is None:
@@ -526,18 +514,17 @@ def run_protocol(
             raise ValueError(
                 f"outcome table needs photon counts up to {n_max:.3g} (limit {MAX_N_MAX}); lower m or alpha"
             )
-    inp = build_input(m, beta, kappa1, kappa2)
 
-    def build() -> tuple[_Geometry, np.ndarray]:
+    def build() -> _Geometry:
+        inp = build_input(m, beta, kappa1, kappa2)
         channel = lossy_channel_operator(m, alpha, eta, sign)
+        # `tensor` repeats the input labels and the fold moves labels only: C = rho (x) channel
         folded = fold_network(tensor(inp, channel), m)
-        channel.coeffs.flags.writeable = False
-        return _geometry(folded.labels, inp.labels, m, n_max, sign), channel.coeffs
+        return _geometry(folded.labels, inp.labels, m, n_max, sign, channel.coeffs)
 
-    key = tuple(map(_exact_key, (m, alpha, eta, sign, n_max)))
-    geometry, channel = _geometries.get(key, build)
-    # the fold moves labels only, so this is the folded coefficient matrix
-    return geometry.score(np.kron(inp.density(), channel), inp.coeffs)
+    geometry = _geometries.get(tuple(map(_exact_key, (m, alpha, eta, sign, n_max))), build)
+    coeffs = input_coefficients(kappa1, kappa2, lambda: geometry.reference_gram)
+    return geometry.score(coeffs, coeffs)
 
 
 def teleport_through_noise(

@@ -61,12 +61,14 @@ def test_encode_matches_per_branch_outer_products(rng, cutoffs):
 
 
 def test_importing_the_cli_leaves_scipy_out():
+    # nor numpy.random: 10-20 ms to import, which only `verify`'s seeded draws need
     import ecs_teleport
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ecs_teleport.__file__)))
     code = (
         "import sys, ecs_teleport.cli; "
-        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'"
+        " or k.split('.')[:2] == ['numpy', 'random']))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

@@ -1,7 +1,9 @@
 """Protocol engine: fold network structure, outcome enumeration, corrections,
 closed-form success probabilities, and the dual-engine outcome-table check."""
 
+import functools
 import math
+import operator
 import re
 import warnings
 
@@ -349,13 +351,21 @@ def _folded(m, alpha, eta, k1, k2, sign):
     return fold_network(joint, m), inp
 
 
+def _run_geometry(m, alpha, eta, sign, n_max):
+    """The geometry `run_protocol` builds: the folded labels with the channel's matrix as factor."""
+    folded, inp = _folded(m, alpha, eta, 0.6 + 0.1j, -0.3 + 0.7j, sign)
+    factor = lossy_channel_operator(m, alpha, eta, sign).coeffs
+    return teleport._geometry(folded.labels, inp.labels, m, n_max, sign, factor), folded
+
+
 def _reference_table(folded, m, n_max, sign, reference):
     """(l, n) -> (probability, correction, fidelity), one projection chain per
     record through the algebra primitives; the fidelity scores `bob_state`."""
     records = [(0, n) for n in range(n_max + 1)] + [(l, 0) for l in range(1, n_max + 1)]
+    no_n = project_photon_number(folded, m, 0)[0]  # shared by every (l, 0) record
     table = {}
     for l, n in records:
-        state, _ = project_photon_number(folded, m, n)
+        state = no_n if n == 0 else project_photon_number(folded, m, n)[0]
         _, prob = project_photon_number(state, m - 1, l)
         if prob < PROB_FLOOR:
             continue
@@ -405,13 +415,13 @@ def test_kernel_matches_per_record_reference_at_small_alpha(geometries, m, sign,
     (1, 0.3, "minus", 1.0), (3, 1.0, "plus", 0.6), (6, 0.8 - 0.4j, "minus", 0.3), (8, 2.0, "plus", 1.0),
 ])
 def test_record_amplitudes_are_weight_times_class_pattern(m, alpha, sign, eta):
-    folded, inp = _folded(m, alpha, eta, 0.6 + 0.1j, -0.3 + 0.7j, sign)
     n_max = default_n_max(m, math.sqrt(eta) * alpha)
-    geometry = teleport._geometry(folded.labels, inp.labels, m, n_max, sign)
+    geometry, folded = _run_geometry(m, alpha, eta, sign, n_max)
     # <l|a_t><n|b_t> of every record on every folded label, as a dense reference
     amps = (number_amplitudes(folded.labels[:, m - 1], n_max)[geometry.ls]
             * number_amplitudes(folded.labels[:, m], n_max)[geometry.ns])
-    patterns = geometry.patterns[0][geometry.classes]
+    _, patterns = teleport._class_patterns(folded.labels[:, m - 1 : m + 1], n_max)
+    patterns = patterns[geometry.classes]
     # (0, 0) is its own class: weight 1, its vacuum amplitudes the pattern
     assert geometry.weights[0] == 1.0 and np.allclose(amps[0], patterns[0], rtol=1e-14, atol=0)
     amps, patterns = amps[1:], patterns[1:]
@@ -463,12 +473,10 @@ def test_odd_cat_vacuum_record_is_empty(alpha, sign, eta):
 
 
 def test_geometry_at_max_n_max_fits_the_cache_bound():
-    folded, inp = _folded(3, 1.0, 0.6, 0.6, 0.8, "minus")
-    small, large = (teleport._geometry(folded.labels, inp.labels, 3, n, "minus") for n in (10, 20))
+    small, large = (_run_geometry(3, 1.0, 0.6, "minus", n)[0] for n in (10, 20))
     per_record = (large.nbytes - small.nbytes) // 20  # two records per count
     fixed = small.nbytes - per_record * 21
-    channel = lossy_channel_operator(3, 1.0, 0.6, "minus").coeffs.nbytes
-    assert fixed + channel + per_record * (2 * teleport.MAX_N_MAX + 1) <= teleport.GEOMETRY_CACHE_BYTES
+    assert fixed + per_record * (2 * teleport.MAX_N_MAX + 1) <= teleport.GEOMETRY_CACHE_BYTES
 
 
 @pytest.mark.parametrize("m,alpha,sign,eta", [
@@ -489,11 +497,12 @@ def test_report_columns_match_its_rows(m, alpha, sign, eta):
     assert list(rep.outcomes) == rows
     assert all(rep.outcome(o.l, o.n) == o for o in rows)
     assert rep.outcome(1, 1) is None and rep.outcome(0, len(rows) + 5) is None
+    # sums in row order: from Python 3.12 the builtin sum of floats is compensated
     succ = [o for o in rep.outcomes if o.is_success]
-    p_succ = sum(o.probability for o in succ)
+    p_succ = functools.reduce(operator.add, (o.probability for o in succ))
     assert rep.success_probability == p_succ
-    assert rep.mean_fidelity == sum(o.probability * o.fidelity for o in succ) / p_succ
-    assert rep.total_probability == sum(o.probability for o in rep.outcomes)
+    assert rep.mean_fidelity == functools.reduce(operator.add, (o.probability * o.fidelity for o in succ)) / p_succ
+    assert rep.total_probability == functools.reduce(operator.add, (o.probability for o in rep.outcomes))
     with pytest.raises(ValueError):
         rep.probability[0] = 0.5  # the columns are read-only, so the rows cannot drift
 
@@ -577,20 +586,82 @@ def geometries(monkeypatch):
     return cache
 
 
-@pytest.mark.parametrize("m,alpha,sign,eta", [
+def _close_to(a, b):
+    """The same records and corrections, probabilities within 1e-15 and
+    fidelities and the mean fidelity within 1e-13: `run_protocol` and
+    `enumerate_outcomes` score one folded state through two input labels and
+    one, so their sums add in different orders."""
+    return (np.array_equal(a.l, b.l) and np.array_equal(a.n, b.n)
+            and np.array_equal(a.correction, b.correction)
+            and np.allclose(a.probability, b.probability, rtol=0, atol=1e-15)
+            and abs(a.success_probability - b.success_probability) <= 1e-15
+            and np.allclose(a.fidelity, b.fidelity, rtol=0, atol=1e-13)
+            and abs(a.mean_fidelity - b.mean_fidelity) <= 1e-13)
+
+
+def _fresh_fold(m, alpha, k1, k2, sign, eta):
+    """The outcome table of a freshly folded state, through `enumerate_outcomes`."""
+    folded, inp = _folded(m, alpha, eta, k1, k2, sign)
+    return enumerate_outcomes(folded, m, default_n_max(m, math.sqrt(eta) * alpha), sign, reference=inp)
+
+
+CACHED_RUNS = [
     (1, 0.3, "minus", 1.0), (2, 0.8 - 0.4j, "plus", 0.6), (3, 1.0, "minus", 0.3),
     (3, 0.8 - 0.4j, "minus", 0.6), (6, 1.5, "plus", 1.0), (8, 2.0, "minus", 0.6),
-])
-def test_cached_runs_match_a_fresh_fold(geometries, m, alpha, sign, eta):
+]
+CACHED_INPUTS = [(1.0, -1.0), (0.6 + 0.1j, -0.3 + 0.7j), (1.0, 1.0), (0.2j, 0.9)]
+
+
+@pytest.mark.parametrize("m,alpha,sign,eta", CACHED_RUNS)
+def test_warm_runs_give_the_bits_of_a_cold_run(monkeypatch, geometries, m, alpha, sign, eta):
     # every call after the first scores its kappas against the kept geometry
-    inputs = [(1.0, -1.0), (0.6 + 0.1j, -0.3 + 0.7j), (1.0, 1.0), (0.2j, 0.9)]
-    for k1, k2 in inputs:
-        rep = run_protocol(m, alpha, k1, k2, sign, eta=eta)
-        folded, inp = _folded(m, alpha, eta, k1, k2, sign)
-        fresh = enumerate_outcomes(folded, m, default_n_max(m, math.sqrt(eta) * alpha), sign,
-                                   reference=inp)
-        assert _same_bits(rep, fresh)
+    for k1, k2 in CACHED_INPUTS:
+        warm = run_protocol(m, alpha, k1, k2, sign, eta=eta)
+        monkeypatch.setattr(teleport, "_geometries", teleport._GeometryCache(teleport.GEOMETRY_CACHE_BYTES))
+        assert _same_bits(warm, run_protocol(m, alpha, k1, k2, sign, eta=eta))
+        monkeypatch.setattr(teleport, "_geometries", geometries)
     assert len(geometries) == 1
+
+
+@pytest.mark.parametrize("m,alpha,sign,eta", CACHED_RUNS)
+def test_cached_runs_match_a_fresh_fold(geometries, m, alpha, sign, eta):
+    for k1, k2 in CACHED_INPUTS:
+        assert _close_to(run_protocol(m, alpha, k1, k2, sign, eta=eta), _fresh_fold(m, alpha, k1, k2, sign, eta))
+    assert len(geometries) == 1
+
+
+def _weighted_close_to(a, b):
+    """The same records and corrections, and every probability, probability
+    times fidelity and success sum within 1e-14 (the mean fidelity within
+    1e-13).  Over arbitrary kappas a record's fidelity is a ratio of two forms
+    that lose digits as its probability falls, on either path (and at the
+    parent), so the fidelity itself is compared through p F."""
+    return (np.array_equal(a.l, b.l) and np.array_equal(a.n, b.n)
+            and np.array_equal(a.correction, b.correction)
+            and np.allclose(a.probability, b.probability, rtol=0, atol=1e-14)
+            and np.allclose(a.probability * a.fidelity, b.probability * b.fidelity, rtol=0, atol=1e-14)
+            and abs(a.success_probability - b.success_probability) <= 1e-14
+            and abs(a.mean_fidelity - b.mean_fidelity) <= 1e-13)
+
+
+unit_kappas = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(lambda k: abs(k) >= 1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["odd", "even", "any"]), k1=unit_kappas, k2=unit_kappas,
+       e1=st.floats(-100.0, 0.0), e2=st.floats(-100.0, 0.0), run=st.sampled_from(CACHED_RUNS))
+@example(kind="odd", k1=1.0, k2=1.0, e1=-100.0, e2=0.0, run=CACHED_RUNS[0])
+@example(kind="even", k1=1j, k2=1.0, e1=-100.0, e2=0.0, run=CACHED_RUNS[3])
+@example(kind="any", k1=1.0, k2=-1j, e1=-100.0, e2=-100.0, run=CACHED_RUNS[2])
+@example(kind="any", k1=1.0, k2=1.0, e1=-100.0, e2=0.0, run=CACHED_RUNS[1])
+@example(kind="any", k1=2j, k2=-1.75j, e1=0.0, e2=0.0, run=CACHED_RUNS[0])
+def test_warm_runs_match_a_fresh_fold(kind, k1, k2, e1, e2, run):
+    # odd and even cats and any pair, each kappa scaled by 10^e down to 1e-100, scored warm
+    k1, k2 = k1 * 10.0**e1, k2 * 10.0**e2
+    k2 = {"odd": -k1, "even": k1, "any": k2}[kind]
+    m, alpha, sign, eta = run
+    run_protocol(m, alpha, 0.6, 0.8, sign, eta=eta)  # cache the geometry
+    assert _weighted_close_to(run_protocol(m, alpha, k1, k2, sign, eta=eta), _fresh_fold(m, alpha, k1, k2, sign, eta))
 
 
 SPELLINGS = [1.0, 1 + 0j, complex(1.0, -0.0), complex(-1.0, -0.0), complex(-1.0, 0.0), np.float64(1.0)]
@@ -615,9 +686,9 @@ def test_alpha_spellings_give_the_bits_of_a_cold_call(monkeypatch, order):
 
 def test_cached_arrays_are_read_only(geometries):
     first = run_protocol(3, 1.0, 0.6, 0.8, eta=0.6)
-    ((geometry, channel),) = geometries._entries.values()
-    arrays = geometry._arrays() + [channel]
-    assert len(arrays) == 4 + 5 + 1  # 4 per-record columns, 5 per-class or per-label arrays, channel
+    (geometry,) = geometries._entries.values()
+    arrays = geometry._arrays()
+    assert len(arrays) == 4 + 6  # 4 per-record columns; per-class arrays, factor and reference Gram
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
@@ -635,7 +706,7 @@ def test_cache_holds_no_more_bytes_than_its_bound(monkeypatch):
         rep = run_protocol(3, alpha, 0.6, 0.8)
         assert abs(rep.total_probability - 1.0) < 1e-9
         assert cache.nbytes <= bound
-        assert cache.nbytes == sum(map(cache.size, cache._entries.values()))
+        assert cache.nbytes == sum(geometry.nbytes for geometry in cache._entries.values())
     assert 1 <= len(cache) < 12
     # a geometry above the bound is used but not kept, and evicts nothing
     small = teleport._GeometryCache(one.nbytes * 3 // 2)
