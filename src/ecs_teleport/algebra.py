@@ -190,6 +190,8 @@ def superposition(pairs: Iterable[tuple[complex, Sequence[complex]]]) -> Coheren
 def dedupe(state: CoherentState, tol: float = LABEL_TOL) -> CoherentState:
     """Merge labels that agree within `tol` per mode, summing their coefficients."""
     index, reps = dedupe_index(state.labels, tol)
+    if len(reps) == len(index):
+        return state  # every label is its own class: nothing merges
     merge = (index[None, :] == np.arange(len(reps))[:, None]).astype(float)
     coeffs = merge @ state.coeffs if state.is_pure else merge @ state.coeffs @ merge.T
     return CoherentState(state.labels[reps], coeffs)

@@ -82,19 +82,34 @@ def build_channel(spec: ChannelSpec) -> CoherentState:
     return normalized(raw)
 
 
-def input_coefficients(kappa1: complex, kappa2: complex, label_gram) -> np.ndarray:
+def input_coefficients(kappa1: complex, kappa2: complex, label_gram) -> tuple[complex, complex]:
     """(kappa1, kappa2) normalized against the input labels' 2x2 Gram matrix,
-    got from `label_gram()` after the vanish check, so a bad m raises next."""
+    a nested sequence got from `label_gram()` after the vanish check, so a bad
+    m raises next.
+
+    The pair is first scaled by a power of four near 1 / its largest
+    component, so a kappa whose square would overflow or underflow still
+    normalizes.  The normalization does not depend on scale, and both that
+    scale and the square root of its square are exact, so every pair that
+    normalizes unscaled keeps its bits.
+    """
     if kappa1 == 0 and kappa2 == 0:
         raise ValueError("kappa1 and kappa2 must not both vanish")
     # the Gram matrix is finite exactly when the amplitudes are, short of overflow
-    g, coeffs = label_gram(), np.array([kappa1, kappa2], dtype=complex)
-    if not (np.isfinite(coeffs).all() and np.isfinite(g).all()):
+    (g11, g12), (g21, g22) = label_gram()
+    c1, c2 = complex(kappa1), complex(kappa2)
+    if not all(map(cmath.isfinite, (c1, c2, g11, g12, g21, g22))):
         raise ValueError("coefficients and coherent amplitudes must be finite")
-    t = (coeffs[:, None] * coeffs.conj() * g.T).sum().real  # as `CoherentState.trace` sums it
+    k = -2 * (math.frexp(max(abs(c1.real), abs(c1.imag), abs(c2.real), abs(c2.imag)))[1] // 2)
+    c1 = complex(math.ldexp(c1.real, k), math.ldexp(c1.imag, k))
+    c2 = complex(math.ldexp(c2.real, k), math.ldexp(c2.imag, k))
+    a, b = c1.conjugate(), c2.conjugate()
+    # sum_ab c_a conj(c_b) G_ba, the terms of `CoherentState.trace`, in row order
+    t = (c1 * a * g11 + c1 * b * g21 + c2 * a * g12 + c2 * b * g22).real
     if t < 1e-300:
         raise ValueError("cannot normalize a null state")
-    return coeffs / math.sqrt(t)
+    scale = 1.0 / math.sqrt(t)  # times the reciprocal, as NumPy divides a complex array by a float
+    return c1 * scale, c2 * scale
 
 
 def build_input(m: int, alpha: complex, kappa1: complex, kappa2: complex) -> CoherentState:
@@ -105,7 +120,7 @@ def build_input(m: int, alpha: complex, kappa1: complex, kappa2: complex) -> Coh
     def labels() -> np.ndarray:
         amps = input_amplitudes(m, alpha)
         return np.array([amps, tuple(-a for a in amps)], dtype=complex)
-    coeffs = input_coefficients(kappa1, kappa2, lambda: gram(labels(), labels()))
+    coeffs = input_coefficients(kappa1, kappa2, lambda: gram(labels(), labels()).tolist())
     return CoherentState(labels(), coeffs)
 
 

@@ -18,18 +18,19 @@ The table splits into a `_Geometry`, built from the folded labels and the
 right Kronecker factor F of the folded coefficient matrix c c^H (x) F (for a
 run, the lossy channel's matrix), and its `score` of the input coefficients
 c, the one scoring path.  `run_protocol` caches each geometry under the key
-(m, alpha, eta, sign, resolved n_max), each part matched by type, dtype and
-exact bits, and drops the least recently used entries to hold at most
+(m, alpha, eta, sign, resolved n_max), each part matched by type and exact
+bits, and drops the least recently used entries to hold at most
 GEOMETRY_CACHE_BYTES (64 MiB) of arrays.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +64,8 @@ PROB_FLOOR = 1e-30
 PATTERN_TOL = 1e-9
 # largest photon count the outcome table enumerates; its arrays grow with it
 MAX_N_MAX = 200_000
-# bytes of arrays `run_protocol` keeps; an entry holds 32 B per record (~12 MiB at MAX_N_MAX) + ~1 KiB
+# bytes of arrays `run_protocol` keeps; an entry holds 32 B per record some input can keep, ~0.6 MiB
+# at MAX_N_MAX (the untrimmed table would take ~12 MiB), + ~1 KiB
 GEOMETRY_CACHE_BYTES = 64 << 20
 
 
@@ -103,11 +105,14 @@ class ProtocolReport:
     mean_fidelity: float
 
     def __post_init__(self):
-        # read-only views, so the memoised `outcomes` rows cannot drift from the columns
+        # read-only columns, so the memoised `outcomes` rows cannot drift from them; a writable
+        # column is replaced by a read-only view, which leaves the caller's array writable
         for name in ("l", "n", "probability", "correction", "fidelity"):
-            column = np.asarray(getattr(self, name)).view()
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            column = getattr(self, name)
+            if type(column) is not np.ndarray or column.flags.writeable:
+                column = np.asarray(column).view()
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
 
     @cached_property
     def outcomes(self) -> tuple[ProtocolOutcome, ...]:
@@ -285,60 +290,76 @@ class _Geometry:
     A*A) holds M, then M with phi_k times the branch signs of Bob's corrected
     labels (his corrected norm); `overlaps` (classes x A x references x K)
     the signed reference overlaps of the corrected labels times phi_k;
-    `factor` F; `reference_gram` the reference labels' Gram matrix, which
-    normalizes a run's input.  Every array is read-only.
+    `factor` F; `reference_gram` the reference labels' Gram matrix as nested
+    tuples of Python complex, which normalizes a run's input.  Every array is
+    read-only.
+
+    The records hold only those some input can keep.  Let T bound the total
+    probability a normalized input puts on the table (`mass`: 1 for a run,
+    the folded state's trace for `enumerate_outcomes`).  A class k then gets
+    q_k W_k <= T, W_k its records' summed weight, so a record of weight w has
+    probability w q_k <= w T / W_k.  A record with w T <= PROB_FLOOR W_k / 2
+    stays below PROB_FLOOR, with a factor 2 to spare for rounding, and is
+    dropped at the build; `score` would drop it anyway.
     """
 
     ls: np.ndarray
     ns: np.ndarray
     weights: np.ndarray
     classes: np.ndarray
-    peaks: np.ndarray
+    peaks: tuple[float, ...]
     codes: np.ndarray
     forms: np.ndarray
     overlaps: np.ndarray
     factor: np.ndarray
-    reference_gram: np.ndarray
+    reference_gram: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self):
         for array in self._arrays():
             array.flags.writeable = False
 
     def _arrays(self) -> list[np.ndarray]:
-        return [getattr(self, field.name) for field in fields(self)]
+        values = (getattr(self, field.name) for field in fields(self))
+        return [value for value in values if isinstance(value, np.ndarray)]
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self._arrays())
 
-    def score(self, coeffs: np.ndarray, reference_coeffs: np.ndarray) -> ProtocolReport:
+    def score(self, coeffs: Sequence[complex], reference_coeffs: Sequence[complex]) -> ProtocolReport:
         """The outcome table of the input coefficients `coeffs`, scored against
-        the pure reference with coefficients `reference_coeffs`."""
-        forms = (self.forms @ (coeffs[:, None] * coeffs.conj()).ravel()).real
+        the pure reference with coefficients `reference_coeffs`, both given as
+        Python complex."""
+        c = np.array(coeffs)
+        forms = (self.forms @ (c[:, None] * c.conj()).ravel()).real
         # c goes into w before F: a quartic form in c cancels to a few digits where a class nearly vanishes
-        w = coeffs @ (reference_coeffs.conj() @ self.overlaps)
-        numerators = ((w @ self.factor) * w.conj()).sum(axis=1).real
+        w = c @ (np.array(reference_coeffs).conj() @ self.overlaps)
+        numerators = ((w @ self.factor) * w.conj()).sum(axis=1).real.tolist()
         # only classes with a kept record get a fidelity: the odd cat's (0, 0) form is 0 / 0
-        scored = self.peaks * forms[0] >= PROB_FLOOR
-        fidelities = np.divide(numerators, forms[1], out=np.full(len(scored), np.nan), where=scored)
+        q, norms = forms.tolist()
+        fidelities = np.array([numerator / norm if peak * form >= PROB_FLOOR else math.nan
+                               for numerator, norm, peak, form in zip(numerators, norms, self.peaks, q)])
 
-        probs = self.weights * forms[0][self.classes]
-        kept = np.flatnonzero(probs >= PROB_FLOOR)
-        probs, classes = probs[kept], self.classes[kept]
-        fidelity = fidelities[classes]
-        # success is every record but (0, 0), which comes first; cumsum adds in record
-        # order, as a Python sum over the rows does
-        first = 1 if kept.size and kept[0] == 0 else 0
-        p = probs[first:]
+        probs = self.weights * forms[0].take(self.classes)
+        kept = (probs >= PROB_FLOOR).nonzero()[0]
+        classes = self.classes.take(kept)
+        columns = (self.ls.take(kept), self.ns.take(kept), probs.take(kept), self.codes.take(classes),
+                   fidelities.take(classes))
+        for column in columns:
+            column.setflags(write=False)  # fresh, so the report keeps them as they are
+        # success is every record but (0, 0), class 0, which comes first; cumsum adds in
+        # record order, as a Python sum over the rows does
+        first = 1 if classes.size and classes[0] == 0 else 0
+        p, fidelity = columns[2][first:], columns[4][first:]
         p_succ = float(p.cumsum()[-1]) if p.size else 0.0
-        mean_f = float((p * fidelity[first:]).cumsum()[-1]) / p_succ if p_succ > 0 else float("nan")
-        return ProtocolReport(self.ls[kept], self.ns[kept], probs, self.codes[classes], fidelity,
-                              p_succ, mean_f)
+        mean_f = float((p * fidelity).cumsum()[-1]) / p_succ if p_succ > 0 else float("nan")
+        return ProtocolReport(*columns, p_succ, mean_f)
 
 
 def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: int, sign: str,
-              factor: np.ndarray) -> _Geometry:
-    """The `_Geometry` of folded labels whose coefficient matrix is rho (x) `factor`."""
+              factor: np.ndarray, mass: float) -> _Geometry:
+    """The `_Geometry` of folded labels whose coefficient matrix is rho (x)
+    `factor`, where a normalized rho puts at most `mass` on the table."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if np.any(np.abs(labels[:, : m - 1]) > 1e-9):
@@ -353,7 +374,7 @@ def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: i
     weights = np.concatenate([[1.0], count_weights[:, 1], count_weights[:, 0]])
     classes = np.concatenate([[0], 3 + counts % 2, 1 + counts % 2])
     even, odd = count_weights[1::2].max(axis=0, initial=0.0), count_weights[::2].max(axis=0, initial=0.0)
-    peaks = np.concatenate([[1.0], np.stack([even, odd], axis=1).ravel()])
+    peaks = (1.0, *np.stack([even, odd], axis=1).ravel().tolist())
     codes = _CLASS_CODES[sign == "plus"]
 
     # Bob's branch signs per class: all 1 unless its correction flips them, and read only
@@ -370,8 +391,13 @@ def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: i
     weighted_gram = gram(bob, bob)[np.ix_(index, index)].T.reshape(shape[1:] * 2) * factor[:, None]
     forms = np.einsum("jcai,aibl,jcbl->jcab", phi, weighted_gram, phi).reshape(2, len(codes), -1)
     overlaps = (overlaps[:, :, index] * patterns[:, None]).reshape(shape[0], -1, *shape[1:])
-    return _Geometry(ls, ns, weights, classes, peaks, codes, forms, overlaps.transpose(0, 2, 1, 3), factor,
-                     gram(reference_labels, reference_labels))
+
+    # drop the records no input can keep (see `_Geometry`)
+    totals = np.bincount(classes, weights, minlength=len(codes))
+    kept = np.flatnonzero(weights * mass > 0.5 * PROB_FLOOR * totals[classes])
+    return _Geometry(ls[kept], ns[kept], weights[kept], classes[kept], peaks, codes, forms,
+                     overlaps.transpose(0, 2, 1, 3), factor,
+                     tuple(map(tuple, gram(reference_labels, reference_labels).tolist())))
 
 
 def enumerate_outcomes(
@@ -418,8 +444,9 @@ def enumerate_outcomes(
     state whose measured-mode amplitudes do not factor this way raises
     UnsupportedStructureError.
     """
-    geometry = _geometry(folded.labels, reference.labels, m, n_max, sign, folded.density())
-    return geometry.score(np.ones(1, dtype=complex), reference.coeffs)
+    geometry = _geometry(folded.labels, reference.labels, m, n_max, sign, folded.density(),
+                         folded.trace().real)
+    return geometry.score([1 + 0j], reference.coeffs.tolist())
 
 
 def transmitted_amplitude(alpha: complex, eta: float) -> complex:
@@ -466,12 +493,21 @@ _geometries = _GeometryCache(GEOMETRY_CACHE_BYTES)
 def _exact_key(value) -> tuple:
     """A cache key part that matches only the same type with the same dtype,
     shape and bits: -1-0j == -1+0j, yet the signed zero reaches the
-    arithmetic.  A value NumPy holds only as an object (a huge int, a
-    Fraction) keys by itself."""
+    arithmetic.  A Python int or str keys by its value, a Python float or
+    complex by its IEEE bytes (NaN payloads and signed zeros stay apart), and
+    anything else by NumPy's dtype, shape and bytes.  A value NumPy holds only
+    as an object (a huge int, a Fraction) keys by itself."""
+    kind = type(value)
+    if kind is int or kind is str:
+        return kind, value
+    if kind is float:
+        return kind, struct.pack("d", value)
+    if kind is complex:
+        return kind, struct.pack("dd", value.real, value.imag)
     bits = np.asarray(value)
     if bits.dtype == object:
-        return type(value), value
-    return type(value), bits.dtype.str, bits.shape, bits.tobytes()
+        return kind, value
+    return kind, bits.dtype.str, bits.shape, bits.tobytes()
 
 
 def run_protocol(
@@ -501,8 +537,11 @@ def run_protocol(
     Only the input's coefficients c depend on kappa1 and kappa2, so the
     `_Geometry` with the channel's matrix as F and the input as reference is
     cached under (m, alpha, eta, sign, n_max) after n_max is resolved, each
-    part compared by type, dtype and exact bits (0.0 and -0.0 key apart), up
-    to GEOMETRY_CACHE_BYTES of arrays, and each call scores c alone.  A miss
+    part compared by type and exact bits (0.0 and -0.0 key apart; see
+    `_exact_key`), up to GEOMETRY_CACHE_BYTES of arrays, and each call
+    scores c alone.  The geometry holds only the records some normalized
+    input can keep (see `_Geometry`), so a warm run's work grows with the
+    kept records, not with n_max.  A miss
     builds the input, loses and folds, so every check raises where and as it
     would without the cache and nothing is cached when one fails; a hit can
     fail only `channels.input_coefficients`' kappa checks.
@@ -520,7 +559,7 @@ def run_protocol(
         channel = lossy_channel_operator(m, alpha, eta, sign)
         # `tensor` repeats the input labels and the fold moves labels only: C = rho (x) channel
         folded = fold_network(tensor(inp, channel), m)
-        return _geometry(folded.labels, inp.labels, m, n_max, sign, channel.coeffs)
+        return _geometry(folded.labels, inp.labels, m, n_max, sign, channel.coeffs, 1.0)
 
     geometry = _geometries.get(tuple(map(_exact_key, (m, alpha, eta, sign, n_max))), build)
     coeffs = input_coefficients(kappa1, kappa2, lambda: geometry.reference_gram)

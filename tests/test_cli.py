@@ -58,6 +58,16 @@ def test_teleport_warns_on_missing_mass_after_a_cached_run(capsys, monkeypatch):
     assert "warning" in err and "missing" in err
 
 
+@pytest.mark.parametrize("argv", [["--kappa1-re", "1e200"], ["--kappa1-re", "1e-200", "--kappa2-re", "0"]])
+def test_teleport_normalizes_kappas_whose_squares_leave_the_float_range(capsys, argv):
+    # --kappa1-re 1e200 printed RuntimeWarnings and an all-zero table; 1e-200 was "a null state"
+    assert cli.main(["teleport", "--m", "2", "--alpha", "1"] + argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert cli.main(["teleport", "--m", "2", "--alpha", "1", "--kappa1-re", "1", "--kappa2-re", "0"]) == 0
+    assert captured.out == capsys.readouterr().out
+
+
 def test_teleport_rejects_an_oversized_table(capsys):
     # mean count 2^20: the whole table would not fit, and a truncated one would hide mass
     assert cli.main(["teleport", "--m", "20", "--alpha", "1"]) == cli.USAGE_ERROR

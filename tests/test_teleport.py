@@ -1,10 +1,14 @@
 """Protocol engine: fold network structure, outcome enumeration, corrections,
 closed-form success probabilities, and the dual-engine outcome-table check."""
 
+import contextlib
 import functools
 import math
 import operator
+import os
 import re
+import struct
+import sys
 import warnings
 
 import numpy as np
@@ -21,7 +25,7 @@ from ecs_teleport.algebra import (
     project_photon_number,
     tensor,
 )
-from ecs_teleport.channels import ChannelSpec, build_channel, build_input
+from ecs_teleport.channels import ChannelSpec, build_channel, build_input, input_coefficients
 from ecs_teleport.noise import channel_fidelity, lossy_channel_operator, teleported_fidelity_exact
 from ecs_teleport.teleport import (
     CORRECTIONS,
@@ -355,7 +359,7 @@ def _run_geometry(m, alpha, eta, sign, n_max):
     """The geometry `run_protocol` builds: the folded labels with the channel's matrix as factor."""
     folded, inp = _folded(m, alpha, eta, 0.6 + 0.1j, -0.3 + 0.7j, sign)
     factor = lossy_channel_operator(m, alpha, eta, sign).coeffs
-    return teleport._geometry(folded.labels, inp.labels, m, n_max, sign, factor), folded
+    return teleport._geometry(folded.labels, inp.labels, m, n_max, sign, factor, 1.0), folded
 
 
 def _reference_table(folded, m, n_max, sign, reference):
@@ -688,7 +692,10 @@ def test_cached_arrays_are_read_only(geometries):
     first = run_protocol(3, 1.0, 0.6, 0.8, eta=0.6)
     (geometry,) = geometries._entries.values()
     arrays = geometry._arrays()
-    assert len(arrays) == 4 + 6  # 4 per-record columns; per-class arrays, factor and reference Gram
+    assert len(arrays) == 4 + 4  # 4 per-record columns; codes, forms, overlaps and factor
+    # the peaks and the reference Gram are Python numbers in tuples, immutable too
+    assert type(geometry.peaks) is tuple and type(geometry.reference_gram) is tuple
+    assert all(type(row) is tuple for row in geometry.reference_gram)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
@@ -733,7 +740,6 @@ BAD_ARGUMENTS = [
     (dict(m=3, kappa1=math.nan, kappa2=1), ValueError, "coefficients and coherent amplitudes must be finite"),
     (dict(m=3, kappa1=complex(0, math.inf), kappa2=0), ValueError,
      "coefficients and coherent amplitudes must be finite"),
-    (dict(m=3, kappa1=1e-200, kappa2=1e-200), ValueError, "cannot normalize a null state"),
     (dict(m=0, kappa1=0, kappa2=0), ValueError, "kappa1 and kappa2 must not both vanish"),
     (dict(m=0, kappa1=math.nan, kappa2=1), ValueError, "m must be >= 1"),
     (dict(m=0, kappa1=1, kappa2=1, sign="bogus"), ValueError, "m must be >= 1"),
@@ -772,3 +778,169 @@ def test_bad_arguments_raise_as_without_the_cache(geometries, warm, arguments, e
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         run_protocol(**arguments)
     assert len(geometries) == held  # nothing is cached when a check fails
+
+
+@contextlib.contextmanager
+def _own_cache():
+    """An empty geometry cache in place of run_protocol's, for a hypothesis example."""
+    held = teleport._geometries
+    teleport._geometries = cache = teleport._GeometryCache(teleport.GEOMETRY_CACHE_BYTES)
+    try:
+        yield cache
+    finally:
+        teleport._geometries = held
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("kappas,unit", [
+    ((1e-200, 1e-200), (1.0, 1.0)), ((1e-200, 0.0), (1.0, 0.0)),
+    ((1e200, -1e200), (1.0, -1.0)), ((1e200, 0.0), (1.0, 0.0)), ((5e-324, -5e-324j), (1.0, -1j)),
+])
+def test_kappas_whose_squares_leave_the_float_range_normalize(geometries, warm, kappas, unit):
+    # their squares overflow or underflow, which once gave an empty table or "a null state"
+    if warm:
+        run_protocol(3, 1.0, 0.6, 0.8)
+    report = run_protocol(3, 1.0, *kappas)
+    assert abs(report.total_probability - 1.0) < 1e-9
+    assert _close_to(report, run_protocol(3, 1.0, *unit))
+    assert len(geometries) == 1
+
+
+exact_parts = st.floats(-2.0, 2.0).filter(lambda x: x == 0 or abs(x) >= 1e-100)
+exact_kappas = st.builds(complex, exact_parts, exact_parts).filter(lambda k: abs(k) >= 1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k1=exact_kappas, k2=exact_kappas, j=st.integers(-200, 200), run=st.sampled_from(CACHED_RUNS))
+@example(k1=1.0, k2=-1.0, j=200, run=CACHED_RUNS[0])
+@example(k1=0.6 + 0.1j, k2=-0.3 + 0.7j, j=-200, run=CACHED_RUNS[5])
+def test_kappas_scaled_by_a_power_of_four_give_the_same_bits(k1, k2, j, run):
+    # the normalization scales the pair by a power of four near 1 / its largest component, so
+    # kappa 4^j lands on the very pair kappa does, warm or cold
+    m, alpha, sign, eta = run
+    scale = 4.0**j
+    scaled = [complex(k.real * scale, k.imag * scale) for k in (k1, k2)]
+    with _own_cache():
+        reference = run_protocol(m, alpha, k1, k2, sign, eta=eta)
+        warm = run_protocol(m, alpha, *scaled, sign, eta=eta)
+    with _own_cache():
+        cold = run_protocol(m, alpha, *scaled, sign, eta=eta)
+    assert _same_bits(warm, reference) and _same_bits(cold, reference)
+
+
+def _full_records(folded, m, n_max):
+    """Every record's (l, n), untrimmed Poisson weight and class, in (l, n) order."""
+    count_weights, _ = teleport._class_patterns(folded.labels[:, m - 1 : m + 1], n_max)
+    counts = np.arange(1, n_max + 1)
+    keys = [(0, n) for n in range(n_max + 1)] + [(l, 0) for l in range(1, n_max + 1)]
+    weights = np.concatenate([[1.0], count_weights[:, 1], count_weights[:, 0]])
+    return keys, weights, np.concatenate([[0], 3 + counts % 2, 1 + counts % 2])
+
+
+def _trim_is_exact(geometry, report, folded, m, n_max, forms):
+    """Every record the geometry dropped has weight times class form below
+    PROB_FLOOR, and the report keeps exactly the records at or above it."""
+    keys, weights, classes = _full_records(folded, m, n_max)
+    probs = weights * forms[classes]
+    held = set(zip(geometry.ls.tolist(), geometry.ns.tolist()))
+    dropped = [r for r, key in enumerate(keys) if key not in held]
+    assert np.all(probs[dropped] < PROB_FLOOR)
+    assert list(zip(report.l.tolist(), report.n.tolist())) == [
+        key for key, p in zip(keys, probs.tolist()) if p >= PROB_FLOOR]
+
+
+tiny_kappas = st.tuples(unit_kappas, st.floats(-100.0, 0.0)).map(lambda ke: ke[0] * 10.0 ** ke[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 8), size=st.floats(0.05, 2.5), phase=st.sampled_from([0.0, 0.4, -2.0]),
+       eta=st.floats(1e-3, 1.0), sign=st.sampled_from(["minus", "plus"]),
+       kind=st.sampled_from(["odd", "even", "any"]), k1=tiny_kappas, k2=tiny_kappas,
+       mass=st.sampled_from([1.0, 1e-3, 1e3, 1e-40]))
+@example(m=8, size=2.0, phase=0.0, eta=1.0, sign="minus", kind="any", k1=0.6, k2=0.8, mass=1e3)
+@example(m=3, size=1.0, phase=0.4, eta=0.6, sign="plus", kind="odd", k1=0.6, k2=0.8, mass=1e-40)
+def test_trimmed_records_stay_below_the_floor(m, size, phase, eta, sign, kind, k1, k2, mass):
+    alpha = size * complex(math.cos(phase), math.sin(phase))
+    k2 = {"odd": -k1, "even": k1, "any": k2}[kind]
+    n_max = default_n_max(m, math.sqrt(eta) * alpha)
+    # a run: its cached geometry, scored with the normalized input
+    with _own_cache() as cache:
+        report = run_protocol(m, alpha, k1, k2, sign, eta=eta)
+    (geometry,) = cache._entries.values()
+    folded, inp = _folded(m, alpha, eta, k1, k2, sign)
+    c = np.array(input_coefficients(k1, k2, lambda: geometry.reference_gram))
+    _trim_is_exact(geometry, report, folded, m, n_max, (geometry.forms[0] @ (c[:, None] * c.conj()).ravel()).real)
+    # `enumerate_outcomes` on a folded state of trace `mass`, which bounds its table's mass;
+    # at 1e-40 no record is kept
+    folded = CoherentState(folded.labels, folded.coeffs * mass)
+    geometry = teleport._geometry(folded.labels, inp.labels, m, n_max, sign, folded.density(),
+                                  folded.trace().real)
+    report = enumerate_outcomes(folded, m, n_max, sign, reference=inp)
+    _trim_is_exact(geometry, report, folded, m, n_max, geometry.forms[0, :, 0].real)
+
+
+def _numpy_key(value) -> tuple:
+    """The key part every value once got: type, then NumPy's dtype, shape and bytes."""
+    bits = np.asarray(value)
+    if bits.dtype == object:
+        return type(value), value
+    return type(value), bits.dtype.str, bits.shape, bits.tobytes()
+
+
+def _nan(payload: int, negative: bool) -> float:
+    return struct.unpack("d", struct.pack("Q", (negative << 63) | (0x7FF << 52) | payload))[0]
+
+
+def _numpy_value(x, make):
+    """`make(x)`, a NumPy scalar or 0-d array, rounded or cast as NumPy does without a warning."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        return make(x)
+
+
+key_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.0, -1.0]),
+    st.floats(allow_nan=True, allow_subnormal=True),
+    st.builds(_nan, st.integers(1, (1 << 52) - 1), st.booleans()),  # NaN payloads
+)
+key_values = st.one_of(
+    st.sampled_from([0, 1, -1, 2**63, 2**64, -(2**63) - 1]), st.integers(),
+    key_floats, st.builds(complex, key_floats, key_floats),
+    st.sampled_from(["minus", "plus", "", "minus\x00"]), st.text(max_size=4),
+    st.builds(_numpy_value, key_floats, st.sampled_from([
+        np.float64, np.float32, np.complex128, np.array, lambda x: np.array(x, np.float32),
+        lambda x: np.array(x, complex)])),
+    st.builds(_numpy_value, st.integers(-(2**31), 2**31 - 1), st.sampled_from([
+        np.int32, np.int64, np.float32, np.array, lambda x: np.array(x, np.int32)])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(key_values, min_size=2, max_size=6))
+def test_key_parts_match_exactly_when_numpy_keys_do(values):
+    # Python int, str, float and complex key without NumPy; two values must still match
+    # exactly when their NumPy keys do.  Copies of each value make matches likely.
+    values += [type(v)(v) if type(v) in (int, float, complex, str) else v for v in values]
+    for a in values:
+        for b in values:
+            assert (teleport._exact_key(a) == teleport._exact_key(b)) == (_numpy_key(a) == _numpy_key(b))
+
+
+def test_a_warm_run_builds_nothing(geometries):
+    run_protocol(6, 1.5, 0.6, 0.8, eta=0.6)
+    package = os.path.dirname(teleport.__file__) + os.sep
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run_protocol(6, 1.5, 0.3 - 0.9j, -1.1 + 0.2j, eta=0.6)
+    finally:
+        sys.setprofile(None)
+    builders = {"build_input", "lossy_channel_operator", "apply_loss", "fold_network", "tensor", "_geometry",
+                "gram", "dedupe_index"}
+    assert not builders & set(calls)
+    assert len(calls) <= 15  # run_protocol, its checks, five key parts, the lookup, the input and the score
