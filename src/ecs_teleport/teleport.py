@@ -29,7 +29,7 @@ import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -116,11 +116,12 @@ class ProtocolReport:
 
     @cached_property
     def outcomes(self) -> tuple[ProtocolOutcome, ...]:
-        corrections = [CORRECTIONS[code] for code in self.correction.tolist()]
-        return tuple(map(
-            ProtocolOutcome, self.l.tolist(), self.n.tolist(), self.probability.tolist(),
+        # tuple.__new__ on zipped columns builds each row in C, skipping the NamedTuple's Python __new__
+        corrections = map(CORRECTIONS.__getitem__, self.correction.tolist())
+        return tuple(map(partial(tuple.__new__, ProtocolOutcome), zip(
+            self.l.tolist(), self.n.tolist(), self.probability.tolist(),
             corrections, self.fidelity.tolist(),
-        ))
+        )))
 
     @property
     def total_probability(self) -> float:

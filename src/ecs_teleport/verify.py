@@ -6,11 +6,19 @@ public calls (`branch_sites`, `split_pair`, `mps_overlap`), and the lossy
 protocol is rerun as an MPS by `fock.protocol_table`.  The ambiguous
 published formulas are adjudicated by the protocol engine; each suite
 returns one `SuiteResult`, and the rejected formula variants live here only.
+
+The seeded scenarios (random states, beam-splitter modes, input coefficients)
+come from the standard library's `random.Random(seed)`.  It is already loaded
+with NumPy and the suites need only a few hundred scalar draws, while NumPy's
+random package would load eleven extension modules and add about 6 MB to the
+peak memory of a `verify` process; so no CLI command loads that package.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +98,15 @@ class SuiteResult:
         return msg
 
 
-def _random_superposition(rng: np.random.Generator, modes: int, branches: int) -> CoherentState:
+def _random_superposition(rng: random.Random, modes: int, branches: int) -> CoherentState:
     pairs = []
     for _ in range(branches):
-        coeff = complex(rng.normal(), rng.normal())
-        amps = [
-            rng.uniform(0.1, 1.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        coeff = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        amps = tuple(
+            rng.uniform(0.1, 1.2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             for _ in range(modes)
-        ]
-        pairs.append((coeff, tuple(complex(a) for a in amps)))
+        )
+        pairs.append((coeff, amps))
     return normalized(superposition(pairs))
 
 
@@ -125,23 +133,27 @@ def oracle_equivalence(seed: int, trials: int) -> SuiteResult:
     on the first two sites of the MPS in the mode order [i, j, rest...],
     exact, with no SVD.  A photon count slices one site, and its probability
     is the squared norm of what is left.
+
+    The scenarios are drawn from `random.Random(seed)`, the standard
+    library's generator: a handful of scalar draws per scenario, which do not
+    justify loading NumPy's random package (and its memory) into the CLI.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     # amplitudes stay below 1.2 and one beam splitter at most, so a cutoff of
     # 18 keeps every per-mode Poisson tail under 1e-9
     cutoff = 18
     d = cutoff + 1
     worst = 0.0
     for t in range(trials):
-        modes = int(rng.integers(1, 5))
-        x = _random_superposition(rng, modes, int(rng.integers(1, 5)))
-        y = _random_superposition(rng, modes, int(rng.integers(1, 5)))
+        modes = rng.randrange(1, 5)
+        x = _random_superposition(rng, modes, rng.randrange(1, 5))
+        y = _random_superposition(rng, modes, rng.randrange(1, 5))
         natural = list(range(modes))
         fx, fy = _fock_mps(x, natural, d), _fock_mps(y, natural, d)
         fock_xy = fock.mps_overlap(fx, fy)
         worst = max(worst, abs(inner_product(x, y) - fock_xy))
         if modes >= 2:
-            i, j = (int(k) for k in rng.choice(modes, size=2, replace=False))
+            i, j = rng.sample(range(modes), 2)
             order = [i, j] + [k for k in natural if k not in (i, j)]
             fxo = _fock_mps(x, order, d)
             pair = np.tensordot(fxo[0], fxo[1], axes=1)
@@ -149,8 +161,8 @@ def oracle_equivalence(seed: int, trials: int) -> SuiteResult:
             ref = _fock_mps(beam_splitter(x, i, j), order, d)
             ref = _pair_as_site(ref, np.tensordot(ref[0], ref[1], axes=1))
             worst = max(worst, abs(fock.mps_overlap(ref, fxb) - 1.0))
-        mode = int(rng.integers(0, modes))
-        n = int(rng.integers(0, 4))
+        mode = rng.randrange(0, modes)
+        n = rng.randrange(0, 4)
         _, p_coh = project_photon_number(x, mode, n)
         sliced = fx[:mode] + [fx[mode][:, n : n + 1]] + fx[mode + 1 :]
         worst = max(worst, abs(p_coh - fock.mps_overlap(sliced, sliced).real))
@@ -164,12 +176,12 @@ def oracle_equivalence(seed: int, trials: int) -> SuiteResult:
 
 
 def round_trip(seed: int, trials: int) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for m in (1, 2, 3):
         for alpha in (0.5, 1.0):
             for _ in range(max(1, trials // 12)):
-                k1 = complex(rng.normal(), rng.normal())
-                k2 = complex(rng.normal(), rng.normal())
+                k1 = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                k2 = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
                 rep = run_protocol(m, alpha, k1, k2, "minus", n_max=12)
                 for o in rep.outcomes:
                     if o.is_success and abs(o.fidelity - 1.0) > 1e-9:
@@ -318,11 +330,11 @@ def lossy_protocol_oracle(seed: int = 0, trials: int = 0) -> SuiteResult:
 
 
 def probability_kappa_independence(seed: int, trials: int) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     base = None
     for _ in range(max(2, trials // 10)):
-        k1 = complex(rng.normal(), rng.normal())
-        k2 = complex(rng.normal(), rng.normal())
+        k1 = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        k2 = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         rep = run_protocol(3, 0.8, k1, k2, "minus", n_max=10)
         probs = tuple(o.probability for o in rep.outcomes if o.n % 2 == 1 and o.l == 0)
         if base is None:

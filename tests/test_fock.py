@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -60,21 +61,42 @@ def test_encode_matches_per_branch_outer_products(rng, cutoffs):
     assert np.max(np.abs(v - _outer_product_encoding(state, dims))) < 1e-14
 
 
+# commands that together reach every CLI subcommand, the Fock oracle and `verify`'s seeded draws
+_GUARDED_COMMANDS = (
+    ["verify", "--trials", "2"],
+    ["teleport", "--m", "2", "--alpha", "1", "--engine", "all"],
+    ["channel-info", "--m", "2"],
+    ["figures", "fig1"],
+)
+
+
 def test_importing_the_cli_leaves_scipy_out():
-    # nor numpy.random: 10-20 ms to import, which only `verify`'s seeded draws need
+    # nor NumPy's lazily loaded random, fft and polynomial packages: `verify` draws its
+    # scenarios from the standard library's `random.Random`, and numpy.random alone would add
+    # about 6 MB and 10 ms to a CLI process.  Checked after the import and after each command.
     import ecs_teleport
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ecs_teleport.__file__)))
-    code = (
-        "import sys, ecs_teleport.cli; "
-        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'"
-        " or k.split('.')[:2] == ['numpy', 'random']))"
-    )
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import ecs_teleport.cli as cli
+
+        def loaded():
+            return sorted(k for k in sys.modules if k.split(".")[0] == "scipy" or k.split(".")[:2]
+                          in (["numpy", "random"], ["numpy", "fft"], ["numpy", "polynomial"]))
+
+        print("import", loaded())
+        for argv in {list(_GUARDED_COMMANDS)!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            print(argv[0], code, loaded())
+    """)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    expected = ["import []"] + [f"{argv[0]} 0 []" for argv in _GUARDED_COMMANDS]
+    assert out.stdout.splitlines() == expected, out.stderr
 
 
 def test_package_imports_only_at_module_level_and_channels_leaves_fock_out():

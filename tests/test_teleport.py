@@ -485,7 +485,7 @@ def test_geometry_at_max_n_max_fits_the_cache_bound():
 
 @pytest.mark.parametrize("m,alpha,sign,eta", [
     (1, 0.3, "minus", 1.0), (3, 1.0, "plus", 1.0), (6, 2.0, "minus", 1.0),
-    (2, 1.0, "minus", 0.6), (3, 0.8, "plus", 0.3),
+    (2, 1.0, "minus", 0.6), (3, 0.8, "plus", 0.3), (6, 1.5, "minus", 0.6),
 ])
 def test_report_columns_match_its_rows(m, alpha, sign, eta):
     rep = run_protocol(m, alpha, 0.6 + 0.1j, -0.3 + 0.7j, sign, eta=eta)
@@ -499,6 +499,7 @@ def test_report_columns_match_its_rows(m, alpha, sign, eta):
         rep.l.tolist(), rep.n.tolist(), rep.probability.tolist(),
         [CORRECTIONS[k] for k in rep.correction.tolist()], rep.fidelity.tolist())]
     assert list(rep.outcomes) == rows
+    assert all(type(o) is ProtocolOutcome and o.is_success == ((o.l, o.n) != (0, 0)) for o in rep.outcomes)
     assert all(rep.outcome(o.l, o.n) == o for o in rows)
     assert rep.outcome(1, 1) is None and rep.outcome(0, len(rows) + 5) is None
     # sums in row order: from Python 3.12 the builtin sum of floats is compensated
