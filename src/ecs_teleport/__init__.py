@@ -15,7 +15,6 @@ from .algebra import (
     norm,
     normalized,
     overlap,
-    phase_shift_pi,
     project_photon_number,
     superposition,
     tensor,
@@ -32,10 +31,7 @@ from .channels import (
     schmidt_coefficients,
 )
 from .fock import (
-    bs_unitary,
     channel_concurrence_oracle,
-    encode,
-    measure_number,
     reduce_to_qubits,
     wootters_concurrence,
 )
@@ -47,8 +43,6 @@ from .noise import (
 from .teleport import (
     ProtocolOutcome,
     ProtocolReport,
-    bob_state,
-    enumerate_outcomes,
     fold_network,
     run_protocol,
     success_probability_closed_form,

@@ -251,14 +251,6 @@ def beam_splitter(state: CoherentState, i: int, j: int) -> CoherentState:
     return replace(state, labels=labels)
 
 
-def phase_shift_pi(state: CoherentState, modes: Iterable[int]) -> CoherentState:
-    """Pi phase shift on the listed modes: every amplitude there is negated."""
-    modes = check_modes(state.mode_count, modes)
-    labels = state.labels.copy()
-    labels[:, modes] *= -1
-    return replace(state, labels=labels)
-
-
 def projected(state: CoherentState, mode: int, n: int) -> CoherentState:
     """The unnormalized conditional state on the other modes after mode
     `mode` is projected onto the n-photon state."""

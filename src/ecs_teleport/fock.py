@@ -8,18 +8,17 @@ generator.  That generator keeps the total photon number N of the two modes
 fixed, so its exponential is one small unitary block per N, found by
 `np.linalg.eigh`.
 
-States are held in two forms.  The dense form, `encode`'s output, is a plain
-complex `np.ndarray` of coefficients over |n_1..n_M>, one axis per mode of
-cutoff + 1 levels; `bs_unitary` and `measure_number` act on it, and the tests
-use it as the reference.  Its size is (cutoff + 1)^M, so the checks that run
-in the CLI use the second form: a matrix-product state (MPS), a list of
-(left bond, levels, right bond) site tensors.  Three public calls act on it,
-and `verify` checks the algebra with them alone: `branch_sites` builds the
-MPS of a K-branch superposition with the branch as the bond, so no site is
-larger than K^2 (cutoff + 1); `split_pair` applies a beam splitter to the
-two levels of a two-site tensor; `mps_overlap` contracts two MPSs site by
-site.  The per-mode cutoffs come from the Poisson truncation rule in
-`algebra` (`default_cutoff`, `tail_cutoff`).
+States are held in one form, a matrix-product state (MPS): a list of
+(left bond, levels, right bond) site tensors, one site per mode of cutoff + 1
+levels, where a dense state would take (cutoff + 1)^M entries.  Only
+`ProtocolTable.conditional_state` contracts one into a dense tensor, capped
+at MAX_DENSE_ENTRIES.  Three public calls act on an MPS, and `verify` checks
+the algebra with them alone: `branch_sites` builds the MPS of a K-branch
+superposition with the branch as the bond, so no site is larger than K^2
+(cutoff + 1); `split_pair` applies a beam splitter to the two levels of a
+two-site tensor; `mps_overlap` contracts two MPSs site by site.  The
+per-mode cutoffs come from the Poisson truncation rule in `algebra`
+(`default_cutoff`, `tail_cutoff`).
 
 `protocol_table` runs the whole protocol, loss included, as an MPS over the
 site order [input m-1, ..., input 0, c_m, e_m, c_{m+1}, e_{m+1}, ...]: each
@@ -33,7 +32,6 @@ the engine verifies the exact algebra independently.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -45,7 +43,6 @@ from .algebra import (
     UnsupportedStructureError,
     default_cutoff,
     half_log_factorials,
-    poisson_tail,
     tail_cutoff,
 )
 from .channels import ChannelSpec, build_channel, build_input
@@ -75,34 +72,6 @@ def coherent_column(alpha: complex | np.ndarray, dim: int) -> np.ndarray:
     turns.real, turns.imag = alpha.real / unit, alpha.imag / unit
     turns[..., 0] = 1.0
     return np.exp(log_mag) * np.cumprod(turns, axis=-1)
-
-
-def encode(state: CoherentState, cutoff: int | Sequence[int]) -> np.ndarray:
-    """Expand a pure coherent-label state in the truncated number basis.
-
-    `cutoff` is one photon-number cutoff for every mode or a per-mode
-    sequence; the result has cutoff + 1 levels on each mode's axis.  A cutoff
-    below the default rule is allowed but triggers a warning when the
-    truncation weight is large.
-    """
-    modes = state.mode_count
-    if isinstance(cutoff, int):
-        if cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        cuts = [cutoff] * modes
-    else:
-        cuts = list(cutoff)
-        if len(cuts) != modes:
-            raise ValueError("need one cutoff per mode")
-    beta_max = np.abs(state.labels).max(axis=0).tolist()
-    for b, c in zip(beta_max, cuts):
-        if poisson_tail(b, c) > 1e-6:
-            warnings.warn(
-                f"cutoff {c} leaves truncation weight {poisson_tail(b, c):.2e} "
-                f"for amplitude {b:.3f}",
-                stacklevel=2,
-            )
-    return _contract(np.ones(1), branch_sites(state.labels, state.coeffs, [c + 1 for c in cuts]))
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -187,26 +156,6 @@ def split_pair(theta: np.ndarray, mode_matrix=FIFTY_FIFTY) -> np.ndarray:
     """Apply the beam splitter with `mode_matrix` (FIFTY_FIFTY or a
     `loss_matrix`) to the two levels of a (left, di, dj, right) two-site tensor."""
     return _apply_blocks(theta, 1, 2, _bs_blocks(theta.shape[1], theta.shape[2], mode_matrix))
-
-
-def bs_unitary(v: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Apply the 50/50 beam splitter to modes (i, j) of a Fock tensor."""
-    if i == j:
-        raise IndexError("beam splitter needs two distinct modes")
-    for m in (i, j):
-        if not 0 <= m < v.ndim:
-            raise IndexError(f"mode {m} out of range")
-    return _apply_blocks(v, i, j, _bs_blocks(v.shape[i], v.shape[j]))
-
-
-def measure_number(v: np.ndarray, mode: int, n: int) -> tuple[np.ndarray, float]:
-    """Project `mode` onto |n>; returns the unnormalized remainder and probability."""
-    if not 0 <= mode < v.ndim:
-        raise IndexError(f"mode {mode} out of range")
-    if not 0 <= n < v.shape[mode]:
-        raise ValueError(f"photon number {n} outside the cutoff {v.shape[mode] - 1}")
-    sliced = np.take(v, n, axis=mode)
-    return sliced, float(np.vdot(sliced, sliced).real)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,17 @@ Global mode convention: the joint system carries the m input modes first
 input modes 0..m-2 exactly and concentrates the interference on the measured
 pair (mode m-1, mode m).  Bob holds modes m+1..2m.
 
-`run_protocol` is the one protocol driver.  The channel always passes
-through photon loss of transmissivity eta; the lossless protocol is its
-eta = 1 run, where the loss is the identity.  `enumerate_outcomes` computes
-the whole outcome table in one vectorized pass over five record classes,
-each a Poisson weight per record times one quadratic form per class;
-`bob_state` builds Bob's corrected state for one record on demand.
+`run_protocol` is the one protocol driver and the one scoring entry.  The
+channel always passes through photon loss of transmissivity eta; the
+lossless protocol is its eta = 1 run, where the loss is the identity.  It
+computes the whole outcome table in one vectorized pass over five record
+classes, each a Poisson weight per record times one quadratic form per
+class.
 
 The table splits into a `_Geometry`, built from the folded labels and the
-right Kronecker factor F of the folded coefficient matrix c c^H (x) F (for a
-run, the lossy channel's matrix), and its `score` of the input coefficients
-c, the one scoring path.  `run_protocol` caches each geometry under the key
+right Kronecker factor F of the folded coefficient matrix c c^H (x) F (the
+lossy channel's matrix), and its `score` of the input coefficients c, the
+one scoring path.  `run_protocol` caches each geometry under the key
 (m, alpha, eta, sign, resolved n_max), each part matched by type and exact
 bits, and drops the least recently used entries to hold at most
 GEOMETRY_CACHE_BYTES (64 MiB) of arrays.
@@ -43,9 +43,6 @@ from .algebra import (
     default_cutoff,
     gram,
     half_log_factorials,
-    normalized,
-    phase_shift_pi,
-    projected,
     tensor,
 )
 from .channels import build_input, input_coefficients
@@ -72,7 +69,8 @@ GEOMETRY_CACHE_BYTES = 64 << 20
 class ProtocolOutcome(NamedTuple):
     """One measurement record: l photons on the folded input mode, n on the
     first channel mode, the correction Bob applies and the fidelity of his
-    corrected state; `bob_state` gives that state on demand."""
+    corrected state.  A row of `ProtocolReport.outcomes`; the package itself
+    reads the report's columns."""
 
     l: int
     n: int
@@ -186,11 +184,6 @@ _CLASS_CODES = {plus: correction_codes([0, 2, 1, 0, 0], [0, 0, 0, 2, 1], "plus" 
                 for plus in (False, True)}
 
 
-def correction_for(l: int, n: int, channel_sign: str) -> str:
-    """The correction of the record (l, n); see `correction_codes`."""
-    return CORRECTIONS[int(correction_codes(l, n, channel_sign))]
-
-
 def _default_plus_amps(amps: np.ndarray) -> np.ndarray:
     """Orientation of a branch pair given as label rows: the branch whose first
     nonvanishing amplitude has positive real part is "+"; protocols with real
@@ -213,27 +206,6 @@ def _branch_signs(amps: np.ndarray, plus: np.ndarray) -> np.ndarray:
             "Bob state is not supported on the expected +-branch pair"
         )
     return np.where(on_plus, 1.0, -1.0)
-
-
-def bob_state(folded: CoherentState, m: int, l: int, n: int, sign: str = "minus") -> CoherentState:
-    """Bob's corrected conditional state after the record (l, n) of a folded state.
-
-    Projects mode m onto n photons and mode m-1 onto l, drops the m-1 emptied
-    input modes, normalizes, then applies `correction_for(l, n, sign)`.  The
-    sign flip |+branch> -> |+branch>, |-branch> -> -|-branch> is not unitary
-    on non-orthogonal branches, so the flipped state is renormalized.
-    """
-    state = projected(projected(folded, m, n), m - 1, l)
-    for _ in range(m - 1):
-        state = projected(state, 0, 0)
-    state = normalized(state)
-    what = correction_for(l, n, sign)
-    if what in ("phase_only", "phase_plus_sign"):
-        state = phase_shift_pi(state, range(m))
-    if what in ("sign_only", "phase_plus_sign"):
-        signs = _branch_signs(state.labels, _default_plus_amps(state.labels))
-        state = normalized(state.weighted(signs))
-    return state
 
 
 def _class_patterns(pair: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,28 +252,50 @@ def _class_patterns(pair: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarra
 class _Geometry:
     """What the outcome table takes from all but the input's coefficients c.
 
+    The table holds the (l=0, n) and (l, n=0) records.  Records with both
+    counts nonzero carry exactly zero probability, because every branch of
+    the folded state is exactly vacuum on one measured mode.  Let C be the
+    folded coefficient matrix, G the Gram matrix of Bob's labels, which no
+    record changes, and f_r[t] = <l|a_t><n|b_t> the measured-mode amplitudes
+    of record r = (l, n) on folded label t, whose amplitudes on modes m-1 and
+    m are a_t and b_t.  The record's probability is then f_r (C o G^T)
+    f_r^H.  On its non-vacuum measured mode every label carries +x0 or -x0,
+    the same amplitude for every label of that mode.  So f_r for (l, 0) is
+    g_l s^l, where s_t in {0, 1, -1} says whether and with which sign label t
+    carries x0 on mode m-1, and |g_l|^2 = exp(-|x0|^2) |x0|^(2l) / l! is a
+    Poisson weight; (0, n) is alike on mode m.  s^l depends on l only through
+    its parity, so the records fall into five classes with one pattern phi_k
+    each: (0, 0) (its own vacuum amplitudes, weight 1), even l, odd l, even n
+    and odd n.  A record's probability is its weight times its class's form
+    q_k = phi_k (C o G^T) phi_k^T.  Its fidelity is a ratio of two such
+    forms, so the weight cancels and every record of a class shares one:
+    each correction negates every label or none and flips the sign of the
+    -branch or not, and the correction is fixed by the class.  A state whose
+    measured-mode amplitudes do not factor this way raises
+    UnsupportedStructureError.
+
     Per record in (l, n) order ((0, 0), then (0, n) and (l, 0) for counts
     1..n_max): `ls`, `ns`, its Poisson weight `weights` (1 for (0, 0)) and
     `classes`: 0 for (0, 0), 1 and 2 for even and odd l, 3 and 4 for even and
     odd n.  Per class: `peaks`, its records' largest weight (0 if none), and
     `codes`, its correction code.  With C = rho (x) F, rho = c c^H over A
-    input labels and F over K, folded label s = a K + i and q_k = phi_k (C o
-    G^T) phi_k^T (see `enumerate_outcomes`) is sum_ab rho_ab M_kab, M_kab =
-    sum_il phi_k,aK+i F_il G_bK+l,aK+i phi_k,bK+l.  `forms` (2 x classes x
-    A*A) holds M, then M with phi_k times the branch signs of Bob's corrected
-    labels (his corrected norm); `overlaps` (classes x A x references x K)
-    the signed reference overlaps of the corrected labels times phi_k;
-    `factor` F; `reference_gram` the reference labels' Gram matrix as nested
-    tuples of Python complex, which normalizes a run's input.  Every array is
-    read-only.
+    input labels and F over K, folded label s = a K + i and q_k is sum_ab
+    rho_ab M_kab, M_kab = sum_il phi_k,aK+i F_il G_bK+l,aK+i phi_k,bK+l.
+    `forms` (2 x classes x A*A) holds M, then M with phi_k times the branch
+    signs of Bob's corrected labels (his corrected norm); `overlaps` (classes
+    x A x references x K) the signed reference overlaps of the corrected
+    labels times phi_k; `factor` F; `reference_gram` the reference labels'
+    Gram matrix as nested tuples of Python complex, which normalizes a run's
+    input.  Every array is read-only.
 
     The records hold only those some input can keep.  Let T bound the total
-    probability a normalized input puts on the table (`mass`: 1 for a run,
-    the folded state's trace for `enumerate_outcomes`).  A class k then gets
-    q_k W_k <= T, W_k its records' summed weight, so a record of weight w has
-    probability w q_k <= w T / W_k.  A record with w T <= PROB_FLOOR W_k / 2
-    stays below PROB_FLOOR, with a factor 2 to spare for rounding, and is
-    dropped at the build; `score` would drop it anyway.
+    probability a normalized input puts on the table (`mass`: 1 for a run;
+    a folded state scored whole, rho = [1] and F = C, puts its trace there).
+    A class k then gets q_k W_k <= T, W_k its records' summed weight, so a
+    record of weight w has probability w q_k <= w T / W_k.  A record with
+    w T <= PROB_FLOOR W_k / 2 stays below PROB_FLOOR, with a factor 2 to
+    spare for rounding, and is dropped at the build; `score` would drop it
+    anyway.
     """
 
     ls: np.ndarray
@@ -399,55 +393,6 @@ def _geometry(labels: np.ndarray, reference_labels: np.ndarray, m: int, n_max: i
     return _Geometry(ls[kept], ns[kept], weights[kept], classes[kept], peaks, codes, forms,
                      overlaps.transpose(0, 2, 1, 3), factor,
                      tuple(map(tuple, gram(reference_labels, reference_labels).tolist())))
-
-
-def enumerate_outcomes(
-    folded: CoherentState,
-    m: int,
-    n_max: int,
-    sign: str = "minus",
-    *,
-    reference: CoherentState,
-) -> ProtocolReport:
-    """Enumerate the (l=0, n) and (l, n=0) measurement records of a folded state.
-
-    Outcomes with both counts nonzero carry exactly zero probability because
-    every branch of the folded state is exactly vacuum on one measured mode.
-    Records below PROB_FLOOR are dropped.  Each outcome gets its correction
-    code and the fidelity of Bob's corrected state to the pure `reference`.
-    `success_probability` sums every outcome except (0, 0), whose
-    conditional state is a branch mixture the protocol cannot repair;
-    `mean_fidelity` is the probability-weighted fidelity over those success
-    outcomes.  The report holds the table as columns in (l, n) order, filled
-    straight from arrays with no per-record Python; `bob_state` builds Bob's
-    state for any record.
-
-    Pure and operator states share one pass.  Let C be the folded
-    coefficient matrix (c c^H for a pure state), G the Gram matrix of Bob's
-    labels, which no record changes, and f_r[t] = <l|a_t><n|b_t> the
-    measured-mode amplitudes of record r = (l, n) on folded label t, whose
-    amplitudes on modes m-1 and m are a_t and b_t.  The record's probability
-    is then f_r (C o G^T) f_r^H.  The fold leaves every label vacuum on one
-    measured mode, and on the other it carries +x0 or -x0, the same amplitude
-    for every label of that mode.  So f_r for (l, 0) is g_l s^l, where s_t
-    in {0, 1, -1} says whether and with which sign label t carries x0 on mode
-    m-1, and |g_l|^2 = exp(-|x0|^2) |x0|^(2l) / l! is a Poisson weight; (0, n)
-    is alike on mode m.  s^l depends on l only through its parity, so the
-    records fall into five classes with one pattern phi_k each: (0, 0) (its
-    own vacuum amplitudes, weight 1), even l, odd l, even n and odd n.  A
-    record's probability is its weight times its class's form
-    q_k = phi_k (C o G^T) phi_k^T.  Its fidelity is a ratio of two such
-    forms, so the weight cancels and every record of a class shares one:
-    each correction negates every label or none and flips the sign of the
-    -branch or not, and the correction is fixed by the class.  The
-    `_Geometry` takes C as rho (x) F; here rho = [1] and F = C, where
-    `run_protocol` has the input's two labels and the channel's matrix.  A
-    state whose measured-mode amplitudes do not factor this way raises
-    UnsupportedStructureError.
-    """
-    geometry = _geometry(folded.labels, reference.labels, m, n_max, sign, folded.density(),
-                         folded.trace().real)
-    return geometry.score([1 + 0j], reference.coeffs.tolist())
 
 
 def transmitted_amplitude(alpha: complex, eta: float) -> complex:

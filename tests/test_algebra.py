@@ -23,13 +23,14 @@ from ecs_teleport.algebra import (
     normalized,
     number_amplitudes,
     overlap,
-    phase_shift_pi,
     project_photon_number,
     superposition,
     tensor,
     trace_out,
 )
 from conftest import random_state
+from dense_fock import encode, measure_number
+from reference import phase_shift_pi
 
 amplitudes = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
 
@@ -163,7 +164,7 @@ def test_project_single_mode_poisson_statistics():
         expected = math.exp(-beta**2) * beta ** (2 * n) / math.factorial(n)
         assert abs(prob - expected) < 1e-12
         # independent number-basis check
-        _, p_fock = fock.measure_number(fock.encode(x, 30), 0, n)
+        _, p_fock = measure_number(encode(x, 30), 0, n)
         assert abs(prob - p_fock) < 1e-9
 
 
@@ -211,7 +212,7 @@ def test_projection_probabilities_complete_within_tail(rng):
     beta_max = np.abs(x.labels[:, 0]).max()
     cut = 25
     total = sum(project_photon_number(x, 0, n)[1] for n in range(cut + 1))
-    assert abs(total - 1.0) <= fock.poisson_tail(beta_max, cut) + 1e-12
+    assert abs(total - 1.0) <= algebra.poisson_tail(beta_max, cut) + 1e-12
 
 
 # --- Gram matrices and operators ----------------------------------------------

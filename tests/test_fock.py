@@ -12,33 +12,34 @@ import numpy as np
 import pytest
 
 from ecs_teleport import fock
-from ecs_teleport.algebra import CoherentState, UnsupportedStructureError, beam_splitter, superposition
+from ecs_teleport.algebra import CoherentState, UnsupportedStructureError, beam_splitter, poisson_tail, superposition
 from ecs_teleport.channels import ChannelSpec, build_channel, schmidt_coefficients
+import dense_fock
 from conftest import random_state
 
 
 def test_encode_vacuum():
-    v = fock.encode(superposition([(1.0, (0.0,))]), 10)
+    v = dense_fock.encode(superposition([(1.0, (0.0,))]), 10)
     assert abs(v[0] - 1.0) < 1e-15
     assert np.linalg.norm(v[1:]) < 1e-15
 
 
 def test_encode_unit_amplitude_two_photon_coefficient():
     # <2|alpha=1> = e^{-1/2} / sqrt(2)
-    v = fock.encode(superposition([(1.0, (1.0,))]), 30)
+    v = dense_fock.encode(superposition([(1.0, (1.0,))]), 30)
     assert abs(v[2] - math.exp(-0.5) / math.sqrt(2)) < 1e-12
 
 
 def test_encode_two_branch_norm_deficit():
     psi = superposition([(1.0, (1.0, 1.0)), (1.0, (-1.0, -1.0))])
     nrm = math.sqrt(2.0 * (1.0 + math.exp(-4.0)))
-    v = fock.encode(CoherentState(psi.labels, psi.coeffs / nrm), 30)
+    v = dense_fock.encode(CoherentState(psi.labels, psi.coeffs / nrm), 30)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-10
 
 
 def test_encode_warns_below_the_cutoff_rule():
     with pytest.warns(UserWarning):
-        fock.encode(superposition([(1.0, (2.0,))]), 4)
+        dense_fock.encode(superposition([(1.0, (2.0,))]), 4)
 
 
 def _outer_product_encoding(state, dims):
@@ -55,7 +56,7 @@ def _outer_product_encoding(state, dims):
 @pytest.mark.parametrize("cutoffs", [[12], [10, 13], [5, 6, 5, 6, 5, 6, 4]])
 def test_encode_matches_per_branch_outer_products(rng, cutoffs):
     state = random_state(rng, len(cutoffs), 4, amp_max=0.3)
-    v = fock.encode(state, cutoffs)
+    v = dense_fock.encode(state, cutoffs)
     dims = tuple(c + 1 for c in cutoffs)
     assert v.shape == dims
     assert np.max(np.abs(v - _outer_product_encoding(state, dims))) < 1e-14
@@ -155,34 +156,34 @@ def test_coherent_column_rejects_cutoffs_above_the_cap():
 def test_default_cutoff_rule_tail_bound():
     for beta in (0.5, 1.2, 2.83):
         cut = fock.default_cutoff(beta)
-        assert fock.poisson_tail(beta, cut) < 1e-10
+        assert poisson_tail(beta, cut) < 1e-10
 
 
 def test_bs_unitary_matches_coherent_action():
     a = 0.8
     x = superposition([(1.0, (a, a))])
-    out = fock.bs_unitary(fock.encode(x, 40), 0, 1)
-    ref = fock.encode(beam_splitter(x, 0, 1), 40)
+    out = dense_fock.bs_unitary(dense_fock.encode(x, 40), 0, 1)
+    ref = dense_fock.encode(beam_splitter(x, 0, 1), 40)
     assert np.max(np.abs(out - ref)) < 1e-6
 
 
 def test_bs_unitary_vacuum_invariant():
-    v = fock.encode(superposition([(1.0, (0.0, 0.0))]), 8)
-    out = fock.bs_unitary(v, 0, 1)
+    v = dense_fock.encode(superposition([(1.0, (0.0, 0.0))]), 8)
+    out = dense_fock.bs_unitary(v, 0, 1)
     assert np.max(np.abs(out - v)) < 1e-12
 
 
 def test_bs_unitary_preserves_norm(rng):
     data = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     data /= np.linalg.norm(data)
-    assert abs(np.linalg.norm(fock.bs_unitary(data, 0, 1)) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(dense_fock.bs_unitary(data, 0, 1)) - 1.0) < 1e-10
 
 
 def test_bs_unitary_random_states_agree_with_algebra(rng):
     for _ in range(10):
         x = random_state(rng, 2, 3)
-        fx = fock.bs_unitary(fock.encode(x, 18), 0, 1)
-        ref = fock.encode(beam_splitter(x, 0, 1), 18)
+        fx = dense_fock.bs_unitary(dense_fock.encode(x, 18), 0, 1)
+        ref = dense_fock.encode(beam_splitter(x, 0, 1), 18)
         assert abs(np.vdot(ref, fx) - 1.0) < 1e-6
 
 
@@ -240,9 +241,9 @@ def test_loss_blocks_are_unitary_and_map_the_labels(eta):
     # |g>|0> -> |sqrt(eta) g>|sqrt(1 - eta) g> on the truncated pair
     g = 1.3 - 0.4j
     cuts = [d - 1 for d in dims]
-    vin = fock.encode(superposition([(1.0, (g, 0.0))]), cuts)
+    vin = dense_fock.encode(superposition([(1.0, (g, 0.0))]), cuts)
     out = fock._apply_blocks(vin, 0, 1, blocks)
-    ref = fock.encode(superposition([(1.0, (math.sqrt(eta) * g, math.sqrt(1 - eta) * g))]), cuts)
+    ref = dense_fock.encode(superposition([(1.0, (math.sqrt(eta) * g, math.sqrt(1 - eta) * g))]), cuts)
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
@@ -259,7 +260,7 @@ def test_bs_unitary_keeps_shell_weights(rng, pair):
     dims = (6, 4, 9)
     data = rng.normal(size=dims) + 1j * rng.normal(size=dims)
     data /= np.linalg.norm(data)
-    out = fock.bs_unitary(data, *pair)
+    out = dense_fock.bs_unitary(data, *pair)
     assert np.max(np.abs(_shell_weights(out, *pair) - _shell_weights(data, *pair))) < 1e-12
     # and acts on that pair as the dense reference does
     i, j = pair
@@ -269,28 +270,28 @@ def test_bs_unitary_keeps_shell_weights(rng, pair):
 
 
 def test_measure_number_vacuum():
-    v = fock.encode(superposition([(1.0, (0.0, 0.5))]), 10)
-    _, p = fock.measure_number(v, 0, 0)
+    v = dense_fock.encode(superposition([(1.0, (0.0, 0.5))]), 10)
+    _, p = dense_fock.measure_number(v, 0, 0)
     assert abs(p - 1.0) < 1e-12
 
 
 def test_measure_number_poisson():
-    v = fock.encode(superposition([(1.0, (1.0,))]), 30)
-    _, p = fock.measure_number(v, 0, 1)
+    v = dense_fock.encode(superposition([(1.0, (1.0,))]), 30)
+    _, p = dense_fock.measure_number(v, 0, 1)
     assert abs(p - math.exp(-1.0)) < 1e-12
 
 
 def test_measure_number_probabilities_sum_to_squared_norm(rng):
     x = random_state(rng, 2, 2)
-    v = fock.encode(x, 20)
-    total = sum(fock.measure_number(v, 0, n)[1] for n in range(21))
+    v = dense_fock.encode(x, 20)
+    total = sum(dense_fock.measure_number(v, 0, n)[1] for n in range(21))
     assert abs(total - np.linalg.norm(v) ** 2) < 1e-12
 
 
 def test_measure_number_beyond_cutoff():
-    v = fock.encode(superposition([(1.0, (0.5,))]), 10)
+    v = dense_fock.encode(superposition([(1.0, (0.5,))]), 10)
     with pytest.raises(ValueError):
-        fock.measure_number(v, 0, 11)
+        dense_fock.measure_number(v, 0, 11)
 
 
 # --- branch MPS against the dense reference ------------------------------------
@@ -316,7 +317,7 @@ def test_mps_overlap_matches_the_dense_vdot(rng, modes):
     dims = [c + 1 for c in cutoffs]
     for kx, ky in ((1, 1), (4, 2), (3, 4)):
         x, y = random_state(rng, modes, kx), random_state(rng, modes, ky)
-        dense = np.vdot(fock.encode(x, cutoffs), fock.encode(y, cutoffs))
+        dense = np.vdot(dense_fock.encode(x, cutoffs), dense_fock.encode(y, cutoffs))
         assert abs(fock.mps_overlap(_mps(x, dims), _mps(y, dims)) - dense) < 1e-13
 
 
@@ -324,7 +325,7 @@ def test_mps_overlap_matches_the_dense_vdot(rng, modes):
 def test_two_site_splitter_matches_bs_unitary_on_every_pair(rng, modes):
     cutoff, d = 10, 11
     x = random_state(rng, modes, 4, amp_max=0.8)
-    dense = fock.encode(x, cutoff)
+    dense = dense_fock.encode(x, cutoff)
     for i in range(modes):
         for j in range(modes):
             if i == j:
@@ -335,7 +336,7 @@ def test_two_site_splitter_matches_bs_unitary_on_every_pair(rng, modes):
             pair = fock.split_pair(pair)
             out = fock._contract(np.ones(1), [pair.reshape(1, d * d, -1)] + sites[2:])
             out = np.transpose(out.reshape([d] * modes), np.argsort(order))
-            assert np.max(np.abs(out - fock.bs_unitary(dense, i, j))) < 1e-13
+            assert np.max(np.abs(out - dense_fock.bs_unitary(dense, i, j))) < 1e-13
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3, 4])
@@ -343,12 +344,12 @@ def test_sliced_site_norm_matches_measure_number(rng, modes):
     cutoff = 12
     x = random_state(rng, modes, 3)
     sites = _mps(x, [cutoff + 1] * modes)
-    dense = fock.encode(x, cutoff)
+    dense = dense_fock.encode(x, cutoff)
     for mode in range(modes):
         for n in range(5):
             sliced = sites[:mode] + [sites[mode][:, n : n + 1]] + sites[mode + 1 :]
             p = fock.mps_overlap(sliced, sliced)
-            assert abs(p - fock.measure_number(dense, mode, n)[1]) < 1e-13
+            assert abs(p - dense_fock.measure_number(dense, mode, n)[1]) < 1e-13
 
 
 # --- Wootters concurrence -----------------------------------------------------

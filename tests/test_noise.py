@@ -20,13 +20,14 @@ from ecs_teleport.noise import (
 )
 from ecs_teleport.teleport import (
     default_n_max,
-    enumerate_outcomes,
     fold_network,
     run_protocol,
     teleport_through_noise,
 )
 from ecs_teleport.verify import noisy_fidelity_adjudication, teleported_fidelity_closed_form
 from conftest import random_state
+from dense_fock import bs_unitary
+from reference import enumerate_outcomes
 
 
 def test_loss_model_bounds():
@@ -309,7 +310,7 @@ def _dense_lossy_protocol(alpha, eta, k1, k2, n_outcomes, dim=16):
     vin = k1n * col(beta, dim) + k2n * col(-beta, dim)
     psi = np.multiply.outer(vin, vec)  # (input, ch1, ch2, env1, env2)
 
-    psi = fock.bs_unitary(psi, 0, 1)
+    psi = bs_unitary(psi, 0, 1)
 
     par = np.array([(-1.0) ** k for k in range(dim)])
     plus, minus = col(beta, dim), col(-beta, dim)

@@ -31,11 +31,8 @@ from ecs_teleport.teleport import (
     CORRECTIONS,
     PROB_FLOOR,
     ProtocolOutcome,
-    bob_state,
     correction_codes,
-    correction_for,
     default_n_max,
-    enumerate_outcomes,
     fold_network,
     fold_pairs,
     run_protocol,
@@ -43,6 +40,8 @@ from ecs_teleport.teleport import (
     teleport_through_noise,
 )
 from ecs_teleport.verify import even_success_unsquared_variant
+from dense_fock import bs_unitary, encode
+from reference import bob_state, correction_for, enumerate_outcomes
 
 
 def _joint(m, alpha, k1, k2, sign):
@@ -283,7 +282,7 @@ def _bob_fidelity(state, m, correction, reference):
         # pi phase shifters exp(-i pi n) on Bob's modes: the sign (-1)^(n_1 + ... + n_m)
         parity = (-1.0) ** np.indices(bob_dims).sum(axis=0)
         state = state * parity.reshape(bob_dims + (1,) * (state.ndim - m))
-    ref = fock.encode(reference, [d - 1 for d in bob_dims]).ravel()
+    ref = encode(reference, [d - 1 for d in bob_dims]).ravel()
     amps = ref.conj() @ state.reshape(ref.size, -1)
     return float(np.vdot(amps, amps).real)
 
@@ -311,9 +310,9 @@ def _dense_fock_table(m, alpha, k1, k2, sign):
     lam = (np.abs(joint.labels).max(axis=0) ** 2).tolist()
     lam[m - 1] = lam[m] = (2.0**m) * abs(alpha) ** 2
     # per-mode tails stay below ~1e-8, comfortably inside the 1e-6 agreement bar
-    vec = fock.encode(joint, [math.ceil(x + 5.0 * math.sqrt(x + 1.0) + 4.0) for x in lam])
+    vec = encode(joint, [math.ceil(x + 5.0 * math.sqrt(x + 1.0) + 4.0) for x in lam])
     for i, j in fold_pairs(m):
-        vec = fock.bs_unitary(vec, i, j)
+        vec = bs_unitary(vec, i, j)
     weights = np.moveaxis(np.abs(vec) ** 2, (m - 1, m), (0, 1))
     return weights.reshape(weights.shape[0], weights.shape[1], -1).sum(axis=2)
 
