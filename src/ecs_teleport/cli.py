@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -38,6 +39,8 @@ MISSING_MASS_TOL = 1e-9
 ORACLE_TOL = 1e-6
 # the closed forms scale |alpha|^2 by 2^(m+1), which overflows a double beyond this m
 MAX_MODES = 1022
+# most cells a `figures` grid may hold: 400 times the default 50 x 50
+MAX_FIGURE_CELLS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,6 +79,20 @@ def _fmt(value: float) -> str:
     if isinstance(value, float) and math.isnan(value):
         return ""
     return f"{value:.9g}"
+
+
+# a whole "nan" cell, which "%.9g" prints for NaN and the tables print blank; the literal
+# leads, so the search scans a grid's text at string-search speed
+_NAN_CELL = re.compile(r"nan\b(?<![^,\n]nan)")
+
+
+def _table(header: Sequence[str], row_format: str, rows, footer=()) -> str:
+    """CSV text of `rows` under `header`, each row through the one %-format
+    `row_format` (%.9g for a float cell, so a cell reads as `_fmt` gives it),
+    then one (name, value) line per `footer` entry."""
+    footer_format = "%s,%.9g" + "," * (len(header) - 2)
+    lines = [",".join(header), *map(row_format.__mod__, rows), *map(footer_format.__mod__, footer)]
+    return _NAN_CELL.sub("", "\n".join(lines) + "\n")
 
 
 def _write(out_path: Optional[str], text: str) -> None:
@@ -128,8 +145,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _range(option: str, spec: Sequence[str]) -> np.ndarray:
-    """N points over [A, B] from the (A, B, N) strings given to `option`."""
+def _range(option: str, spec: Sequence[str]) -> tuple[float, float, int]:
+    """(A, B, N), for N points over [A, B], from the strings given to `option`."""
     try:
         a, b = float(spec[0]), float(spec[1])
     except ValueError:
@@ -142,7 +159,7 @@ def _range(option: str, spec: Sequence[str]) -> np.ndarray:
         raise ValueError(f"{option}: N must be an integer, got {spec[2]!r}") from None
     if n < 2:
         raise ValueError(f"{option}: range needs at least 2 steps")
-    return np.linspace(a, b, n)
+    return a, b, n
 
 
 def cmd_channel_info(args) -> int:
@@ -196,15 +213,17 @@ def cmd_teleport(args) -> int:
         probability = closed
         fidelity = np.where(counts > 0, 1.0 if args.eta == 1.0 else fid, math.nan)
     header = ["l", "n", "probability", "correction", "fidelity"]
+    row_format = "%d,%d,%.9g,%s,%.9g"
     # the report's columns already run in (l, n) order
-    columns = [report.l.tolist(), report.n.tolist(), map(_fmt, probability.tolist()),
-               np.asarray(CORRECTIONS)[report.correction].tolist(), map(_fmt, fidelity.tolist())]
+    columns = [report.l.tolist(), report.n.tolist(), probability.tolist(),
+               np.asarray(CORRECTIONS)[report.correction].tolist(), fidelity.tolist()]
     if args.engine == "all":
         covered = (report.l < deviations.shape[0]) & (report.n < deviations.shape[1])
         disagreement = np.full(len(counts), math.nan)
         disagreement[covered] = deviations[report.l[covered], report.n[covered]]
         header.append("engine_disagreement")
-        columns.append(map(_fmt, disagreement.tolist()))
+        row_format += ",%.9g"
+        columns.append(disagreement.tolist())
     footer = [
         ("total_probability", total),
         ("success_probability", report.success_probability),
@@ -218,11 +237,7 @@ def cmd_teleport(args) -> int:
     if args.engine == "all":
         footer.append(("oracle_max_disagreement", float(deviations.max())))
         footer.append(("oracle_discarded_weight", oracle.discarded_weight))
-    pad = [""] * (len(header) - 2)
-    lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in zip(*columns)]
-    lines += [",".join([name, _fmt(val)] + pad) for name, val in footer]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, _table(header, row_format, zip(*columns), footer))
     if args.engine == "all" and deviations.max() > ORACLE_TOL:
         l, n = np.unravel_index(deviations.argmax(), deviations.shape)
         print(f"error: the engines disagree by {deviations.max():.3g} at (l, n) = ({l}, {n}), "
@@ -232,13 +247,13 @@ def cmd_teleport(args) -> int:
 
 
 _FIGURE_DEFAULTS = {
-    # which: (m, alpha grid, eta grid)
-    "fig1": (3, np.linspace(0.02, 1.0, 50), np.linspace(0.0, 1.0, 50)),
-    "fig2": (3, np.linspace(0.02, 1.0, 50), np.linspace(0.0, 1.0, 50)),
-    "fig3": (4, np.linspace(0.02, 1.0, 50), np.linspace(0.0, 1.0, 50)),
+    # which: (m, alpha range, eta range), each range (A, B, N) as `_range` gives it
+    "fig1": (3, (0.02, 1.0, 50), (0.0, 1.0, 50)),
+    "fig2": (3, (0.02, 1.0, 50), (0.0, 1.0, 50)),
+    "fig3": (4, (0.02, 1.0, 50), (0.0, 1.0, 50)),
     # the large-amplitude sweep stops short of the lossless endpoint, where
     # the fidelity trivially climbs to 1; this matches the published plateau
-    "fig4": (3, np.linspace(1.0, 3.0, 50), np.linspace(0.0, 0.85, 50)),
+    "fig4": (3, (1.0, 3.0, 50), (0.0, 0.85, 50)),
 }
 
 
@@ -249,11 +264,16 @@ def cmd_figures(args) -> int:
         alphas = _range("--alpha-range", args.alpha_range)
     if args.eta_range is not None:
         etas = _range("--eta-range", args.eta_range)
-    a, e = np.meshgrid(alphas, etas, indexing="ij")
+    # checked before any grid array exists, so a huge N allocates nothing
+    size = alphas[2] * etas[2]
+    if size > MAX_FIGURE_CELLS:
+        given = [option for option, spec in (("--alpha-range", args.alpha_range), ("--eta-range", args.eta_range))
+                 if spec is not None]
+        raise ValueError(f"{' and '.join(given)}: a grid of {size:.6g} cells exceeds {MAX_FIGURE_CELLS}")
+    a, e = np.meshgrid(np.linspace(*alphas), np.linspace(*etas), indexing="ij")
     v = channel_fidelity(a, e, m=m) if args.which == "fig1" else teleported_fidelity_exact(m, a, e)
     cells = zip(*(grid.ravel().tolist() for grid in (a, e, v)))
-    lines = ["alpha,eta,value"] + [",".join(map(_fmt, cell)) for cell in cells]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, _table(("alpha", "eta", "value"), "%.9g,%.9g,%.9g", cells))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: the teleport table's outcome mass and footer, and
 closed-form invocations at the edges of the parameter domain."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -243,6 +244,43 @@ def test_figures_grid_matches_each_cell(capsys, which):
             v = channel_fidelity(a, e, m=2) if which == "fig1" else teleported_fidelity_exact(2, a, e)
             expected.append(f"{a:.9g},{e:.9g},{v:.9g}")
     assert lines == expected
+
+
+@pytest.mark.parametrize("argv,options", [
+    # linspace's 1e15 points ended in a numpy._ArrayMemoryError traceback
+    (["figures", "fig1", "--alpha-range", "0", "1", "1000000000000000"], "--alpha-range"),
+    (["figures", "fig2", "--alpha-range", "0", "1", "1000", "--eta-range", "0", "1", "1001"],
+     "--alpha-range and --eta-range"),
+])
+def test_figures_refuses_a_huge_grid(capsys, argv, options):
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {options}: a grid of ")
+    assert str(cli.MAX_FIGURE_CELLS) in captured.err
+
+
+def test_figures_prints_a_grid_at_the_cell_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_FIGURE_CELLS", 6)
+    argv = ["figures", "fig1", "--alpha-range", "0", "1", "2", "--eta-range", "0", "1"]
+    assert cli.main(argv + ["3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    assert cli.main(argv + ["4"]) == cli.USAGE_ERROR
+
+
+def test_nan_cells_print_blank(capsys, monkeypatch):
+    # the closed_form probability of a record without a closed form, a NaN mean_fidelity
+    # footer and a NaN figure value each print as an empty cell
+    run = cli.run_protocol
+    monkeypatch.setattr(cli, "run_protocol", lambda *a, **k: dataclasses.replace(run(*a, **k), mean_fidelity=math.nan))
+    assert cli.main(["teleport", "--m", "2", "--alpha", "1", "--engine", "closed_form"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "0,0,,none," and lines[2].startswith("0,1,0.")
+    assert "mean_fidelity,,,," in lines
+    monkeypatch.setattr(cli, "teleported_fidelity_exact", lambda m, a, e: np.where(a * e > 0.2, math.nan, a))
+    assert cli.main(["figures", "fig2", "--alpha-range", "0", "1", "3", "--eta-range", "0", "1", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "alpha,eta,value", "0,0,0", "0,1,0", "0.5,0,0.5", "0.5,1,", "1,0,1", "1,1,",
+    ]
 
 
 def test_fig2_rejects_eta_above_one(capsys):
