@@ -89,11 +89,16 @@ def loss_matrix(eta: float) -> tuple[tuple[float, float], tuple[float, float]]:
 def _mode_generator(mode_matrix) -> np.ndarray:
     """Hermitian h = i log S of a real orthogonal 2x2 mode matrix S, so that S = exp(-i h).
 
-    S is normal, so its eigenvectors are orthonormal and h = i V log(W) V^H.
+    A rotation (det S = 1) by theta = atan2(S10, S00) has log S = theta [[0, -1], [1, 0]],
+    so h = [[0, -i theta], [i theta, 0]].  A reflection (det S = -1) has the eigenvalues 1
+    and -1, and log(-1) = i pi on the projector (I - S) / 2 onto the -1 eigenvector, so
+    h = -pi (I - S) / 2.
     """
-    w, v = np.linalg.eig(np.asarray(mode_matrix, dtype=float))
-    h = 1j * ((v * np.log(w.astype(complex))) @ np.linalg.inv(v))
-    return 0.5 * (h + h.conj().T)
+    (s00, s01), (s10, s11) = mode_matrix
+    if s00 * s11 - s01 * s10 > 0.0:
+        theta = math.atan2(s10, s00)
+        return np.array([[0.0, -1j * theta], [1j * theta, 0.0]])
+    return -0.5 * math.pi * (np.eye(2) - np.array(mode_matrix))
 
 
 @lru_cache(maxsize=64)

@@ -231,6 +231,59 @@ def test_loss_generator_exponentiates_to_the_loss_matrix(eta):
     assert np.max(np.abs((v * np.exp(-1j * w)) @ v.conj().T - np.array(fock.loss_matrix(eta)))) < 1e-14
 
 
+def _eig_mode_generator(mode_matrix):
+    """h = i V log(W) V^-1 from the eigendecomposition S = V W V^-1, Hermitian part."""
+    w, v = np.linalg.eig(np.asarray(mode_matrix, dtype=float))
+    h = 1j * ((v * np.log(w.astype(complex))) @ np.linalg.inv(v))
+    return 0.5 * (h + h.conj().T)
+
+
+_S = 1.0 / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("mode_matrix", [fock.FIFTY_FIFTY, ((_S, -_S), (_S, _S))] + [
+    fock.loss_matrix(eta) for eta in (0.0, 1e-9, 0.3, 0.5, 0.6, 0.9, 1.0 - 1e-12, 1.0)
+])
+def test_mode_generator_matches_the_eigendecomposition(mode_matrix):
+    assert np.max(np.abs(fock._mode_generator(mode_matrix) - _eig_mode_generator(mode_matrix))) < 1e-15
+
+
+# every (di, dj) the other tests build blocks at, per mode matrix
+_BUILT_BLOCKS = {
+    fock.FIFTY_FIFTY: [
+        (1, 1), (2, 2), (5, 5), (6, 4), (7, 13), (9, 6), (9, 9), (11, 11), (12, 14), (13, 7), (15, 9),
+        (15, 10), (15, 12), (15, 15), (15, 18), (16, 11), (16, 16), (16, 19), (17, 11), (17, 13),
+        (17, 17), (19, 10), (19, 12), (19, 19), (19, 23), (21, 13), (21, 21), (22, 14), (22, 22),
+        (25, 12), (25, 15), (25, 25), (26, 15), (26, 26), (27, 27), (30, 17), (30, 30), (31, 14),
+        (31, 17), (31, 31), (41, 41),
+    ],
+    fock.loss_matrix(1.0): [
+        (2, 1), (9, 1), (10, 1), (11, 1), (12, 1), (13, 1), (15, 1), (17, 1), (19, 1), (20, 1), (21, 1),
+        (26, 1), (27, 1), (30, 1),
+    ],
+    fock.loss_matrix(0.9): [(14, 8), (17, 8), (18, 9), (22, 9), (31, 11), (41, 37)],
+    fock.loss_matrix(0.6): [(14, 11), (15, 11), (18, 13), (19, 13), (21, 14), (25, 16), (41, 37)],
+    fock.loss_matrix(0.5): [(15, 12), (19, 15)],
+    fock.loss_matrix(0.3): [(14, 13), (15, 13), (18, 16), (19, 17), (23, 20), (41, 37)],
+    ((_S, -_S), (_S, _S)): [
+        (15, 11), (15, 13), (16, 11), (16, 19), (19, 17), (19, 19), (21, 13), (21, 14), (21, 21),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode_matrix", list(_BUILT_BLOCKS))
+def test_bs_blocks_match_the_eigendecomposition_generator(monkeypatch, mode_matrix):
+    # the two generators differ by an ulp or two, which eigh turns into up to 2.9e-14 at
+    # ||H_N|| ~ 110 (the (41, 41) 50/50 blocks): eigh's own rounding at that norm
+    blocks = [fock._bs_blocks.__wrapped__(di, dj, mode_matrix) for di, dj in _BUILT_BLOCKS[mode_matrix]]
+    monkeypatch.setattr(fock, "_mode_generator", _eig_mode_generator)
+    for (di, dj), new in zip(_BUILT_BLOCKS[mode_matrix], blocks):
+        for (mu, nu, u), (ref_mu, ref_nu, ref) in zip(new, fock._bs_blocks.__wrapped__(di, dj, mode_matrix),
+                                                      strict=True):
+            assert np.array_equal(mu, ref_mu) and np.array_equal(nu, ref_nu)
+            assert np.max(np.abs(u - ref)) < 1e-13, (di, dj)
+
+
 @pytest.mark.parametrize("eta", (0.3, 0.6, 0.9))
 def test_loss_blocks_are_unitary_and_map_the_labels(eta):
     dims = (41, 37)
