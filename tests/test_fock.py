@@ -14,8 +14,8 @@ import pytest
 from ecs_teleport import fock
 from ecs_teleport.algebra import CoherentState, UnsupportedStructureError, beam_splitter, poisson_tail, superposition
 from ecs_teleport.channels import ChannelSpec, build_channel, schmidt_coefficients
-import dense_fock
 from conftest import random_state
+import dense_fock
 
 
 def test_encode_vacuum():
