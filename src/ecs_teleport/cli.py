@@ -267,9 +267,9 @@ def cmd_figures(args) -> int:
     # checked before any grid array exists, so a huge N allocates nothing
     size = alphas[2] * etas[2]
     if size > MAX_FIGURE_CELLS:
-        given = [option for option, spec in (("--alpha-range", args.alpha_range), ("--eta-range", args.eta_range))
-                 if spec is not None]
-        raise ValueError(f"{' and '.join(given)}: a grid of {size:.6g} cells exceeds {MAX_FIGURE_CELLS}")
+        ranges = (("--alpha-range", args.alpha_range), ("--eta-range", args.eta_range))
+        given = " and ".join(option for option, spec in ranges if spec is not None)
+        raise ValueError(f"{given}: a grid of {size:.6g} cells exceeds {MAX_FIGURE_CELLS}")
     a, e = np.meshgrid(np.linspace(*alphas), np.linspace(*etas), indexing="ij")
     v = channel_fidelity(a, e, m=m) if args.which == "fig1" else teleported_fidelity_exact(m, a, e)
     cells = zip(*(grid.ravel().tolist() for grid in (a, e, v)))

@@ -259,20 +259,20 @@ class _Geometry:
     record changes, and f_r[t] = <l|a_t><n|b_t> the measured-mode amplitudes
     of record r = (l, n) on folded label t, whose amplitudes on modes m-1 and
     m are a_t and b_t.  The record's probability is then f_r (C o G^T)
-    f_r^H.  On its non-vacuum measured mode every label carries +x0 or -x0,
-    the same amplitude for every label of that mode.  So f_r for (l, 0) is
-    g_l s^l, where s_t in {0, 1, -1} says whether and with which sign label t
-    carries x0 on mode m-1, and |g_l|^2 = exp(-|x0|^2) |x0|^(2l) / l! is a
-    Poisson weight; (0, n) is alike on mode m.  s^l depends on l only through
-    its parity, so the records fall into five classes with one pattern phi_k
-    each: (0, 0) (its own vacuum amplitudes, weight 1), even l, odd l, even n
-    and odd n.  A record's probability is its weight times its class's form
-    q_k = phi_k (C o G^T) phi_k^T.  Its fidelity is a ratio of two such
-    forms, so the weight cancels and every record of a class shares one:
-    each correction negates every label or none and flips the sign of the
-    -branch or not, and the correction is fixed by the class.  A state whose
-    measured-mode amplitudes do not factor this way raises
-    UnsupportedStructureError.
+    f_r^H.  The fold leaves every label vacuum on one measured mode, and on
+    the other it carries +x0 or -x0, the same amplitude for every label of
+    that mode.  So f_r for (l, 0) is g_l s^l, where s_t in {0, 1, -1} says
+    whether and with which sign label t carries x0 on mode m-1, and |g_l|^2 =
+    exp(-|x0|^2) |x0|^(2l) / l! is a Poisson weight; (0, n) is alike on mode
+    m.  s^l depends on l only through its parity, so the records fall into
+    five classes with one pattern phi_k each: (0, 0) (its own vacuum
+    amplitudes, weight 1), even l, odd l, even n and odd n.  A record's
+    probability is its weight times its class's form q_k = phi_k (C o G^T)
+    phi_k^T.  Its fidelity is a ratio of two such forms, so the weight
+    cancels and every record of a class shares one: each correction negates
+    every label or none and flips the sign of the -branch or not, and the
+    correction is fixed by the class.  A state whose measured-mode amplitudes
+    do not factor this way raises UnsupportedStructureError.
 
     Per record in (l, n) order ((0, 0), then (0, n) and (l, 0) for counts
     1..n_max): `ls`, `ns`, its Poisson weight `weights` (1 for (0, 0)) and
