@@ -6,7 +6,7 @@ mode matrix (the 50/50 fold splitter, or the loss splitter that couples a
 mode to its environment) becomes the exponential of its truncated quadratic
 generator.  That generator keeps the total photon number N of the two modes
 fixed, so its exponential is one small unitary block per N, found by
-`np.linalg.eigh`.
+`np.linalg.eigh` on one stack of the blocks of each size.
 
 States are held in one form, a matrix-product state (MPS): a list of
 (left bond, levels, right bond) site tensors, one site per mode of cutoff + 1
@@ -102,19 +102,18 @@ def _mode_generator(mode_matrix) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _bs_blocks(
-    di: int, dj: int, mode_matrix=FIFTY_FIFTY
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+def _bs_blocks(di: int, dj: int, mode_matrix=FIFTY_FIFTY) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The beam splitter with a real orthogonal 2x2 `mode_matrix` S on a
-    (di, dj) truncation, one block per shell.
+    (di, dj) truncation, one stack of shells per shell size.
 
     The two-mode unitary, with U|mu, nu> = |S (mu, nu)> on coherent labels,
     is exp(-i H) with H = h00 n_i + h11 n_j + h01 a_i^+ a_j + h10 a_i a_j^+
     (h = i log S) truncated to mu < di, nu < dj.  H keeps N = mu + nu fixed,
-    so for each N it returns (mu, nu, U_N): the index pairs (mu, N - mu)
-    inside the truncation and exp(-i H_N) on them, from `eigh` of the
-    Hermitian H_N.  Truncation keeps each H_N Hermitian, so each U_N is
-    exactly unitary.
+    so for each shell size k it returns (levels, U): row N of the (shells, k)
+    `levels` holds the flat indices mu dj + nu of the pairs (mu, N - mu) inside
+    the truncation, and U_N = exp(-i H_N) on them, from `eigh` of the
+    Hermitian H_N, is in the (shells, k, k) stack U.  Truncation keeps each
+    H_N Hermitian, so each U_N is exactly unitary.
     """
     h = _mode_generator(mode_matrix)
     # H_N = D R D^H with D = diag(phase^mu) and R real symmetric, so `eigh` runs on real matrices
@@ -122,7 +121,7 @@ def _bs_blocks(
     shell = np.arange(di + dj - 1)
     first = np.maximum(0, shell - dj + 1)
     size = np.minimum(shell, di - 1) - first + 1
-    blocks = [None] * len(shell)
+    blocks = []
     for k in range(1, min(di, dj) + 1):
         # every shell with k index pairs, stacked, so one `eigh` call serves them all
         rows = np.flatnonzero(size == k)
@@ -138,23 +137,22 @@ def _bs_blocks(
         gauge = phase ** mu.astype(float)
         u = (v * np.exp(-1j * w)[:, None, :]) @ v.swapaxes(1, 2)
         u = gauge[:, :, None] * u * gauge.conj()[:, None, :]
-        for arr in (mu, nu, u):
-            arr.flags.writeable = False
-        for row, block in zip(rows.tolist(), zip(mu, nu, u)):
-            blocks[row] = block
+        levels = mu * dj + nu
+        levels.flags.writeable = u.flags.writeable = False
+        blocks.append((levels, u))
     return tuple(blocks)
 
 
 def _apply_blocks(data: np.ndarray, i: int, j: int, blocks) -> np.ndarray:
-    """Apply shell blocks to axes (i, j) of `data`: each U_N acts on the slice
-    data[mu, nu, ...], so no (di dj) x (di dj) matrix is formed."""
-    out = np.empty(data.shape, dtype=complex)
+    """Apply shell stacks to axes (i, j) of `data`, viewed as one axis of di dj
+    levels: one gather, batched matmul and scatter per stack, so no
+    (di dj) x (di dj) matrix is formed."""
     src = np.moveaxis(data, (i, j), (0, 1))
-    dst = np.moveaxis(out, (i, j), (0, 1))
-    for mu, nu, u in blocks:
-        shell = src[mu, nu]
-        dst[mu, nu] = (u @ shell.reshape(len(mu), -1)).reshape(shell.shape)
-    return out
+    flat = src.reshape(src.shape[0] * src.shape[1], -1)
+    out = np.empty(flat.shape, dtype=complex)
+    for levels, u in blocks:
+        out[levels] = u @ flat[levels]
+    return np.moveaxis(out.reshape(src.shape), (0, 1), (i, j))
 
 
 def split_pair(theta: np.ndarray, mode_matrix=FIFTY_FIFTY) -> np.ndarray:
@@ -301,7 +299,9 @@ def protocol_table(
 def branch_sites(labels: np.ndarray, coeffs: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """MPS of sum_k coeffs[k] prod_s |labels[k, s]>: the bond index is the branch."""
     eye = np.eye(len(coeffs))
-    sites = [coherent_column(col, d)[:, :, None] * eye[:, None, :] for col, d in zip(labels.T, dims)]
+    # one call at the largest cutoff; a column's first d levels are the column at cutoff d - 1
+    columns = coherent_column(labels.T, max(dims))
+    sites = [col[:, :d, None] * eye[:, None, :] for col, d in zip(columns, dims)]
     sites[0] = np.tensordot(coeffs, sites[0], axes=1)[None]
     sites[-1] = sites[-1].sum(axis=2, keepdims=True)
     return sites

@@ -187,12 +187,17 @@ def test_bs_unitary_random_states_agree_with_algebra(rng):
         assert abs(np.vdot(ref, fx) - 1.0) < 1e-6
 
 
-def _dense_bs_reference(di, dj):
+def _eig_mode_generator(mode_matrix):
+    """h = i V log(W) V^-1 from the eigendecomposition S = V W V^-1, Hermitian part."""
+    w, v = np.linalg.eig(np.asarray(mode_matrix, dtype=float))
+    h = 1j * ((v * np.log(w.astype(complex))) @ np.linalg.inv(v))
+    return 0.5 * (h + h.conj().T)
+
+
+def _dense_bs_reference(di, dj, mode_matrix=fock.FIFTY_FIFTY):
     """exp(-i H) of the whole truncated two-mode generator, built with kron and
     exponentiated by eigh of the (di dj) x (di dj) matrix."""
-    s = 1.0 / math.sqrt(2.0)
-    w, v = np.linalg.eigh(np.array([[s, s], [s, -s]]))
-    h = 1j * ((v * np.log(w.astype(complex))) @ v.T)  # S = exp(-i h)
+    h = _eig_mode_generator(mode_matrix)
     a_i = np.diag(np.sqrt(np.arange(1, di)), 1)
     a_j = np.diag(np.sqrt(np.arange(1, dj)), 1)
     ham = (
@@ -205,37 +210,40 @@ def _dense_bs_reference(di, dj):
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
+def _shells(di, dj, blocks):
+    """(levels, U_N) of every shell in the stacks, once each level 0..di dj - 1
+    is found in exactly one row and each row on one shell."""
+    covered = np.zeros(di * dj, dtype=int)
+    shells = []
+    for levels, u in blocks:
+        assert u.shape == levels.shape + levels.shape[-1:]
+        total = levels // dj + levels % dj
+        assert np.all(total == total[:, :1])
+        np.add.at(covered, levels.ravel(), 1)
+        shells += zip(levels, u)
+    assert np.all(covered == 1)
+    return shells
+
+
 @pytest.mark.parametrize("dims", [(5, 5), (7, 13), (13, 7)])
 def test_bs_blocks_reassemble_the_dense_unitary(dims):
     di, dj = dims
     full = np.zeros((di * dj, di * dj), dtype=complex)
-    covered = np.zeros(di * dj, dtype=int)
-    for mu, nu, u in fock._bs_blocks(di, dj):
-        idx = mu * dj + nu
+    for idx, u in _shells(di, dj, fock._bs_blocks(di, dj)):
         full[np.ix_(idx, idx)] = u
-        covered[idx] += 1
-    assert np.all(covered == 1)
     assert np.max(np.abs(full - _dense_bs_reference(di, dj))) < 1e-12
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (5, 5), (7, 13), (13, 7), (41, 41)])
 def test_bs_blocks_are_unitary(dims):
-    for mu, nu, u in fock._bs_blocks(*dims):
-        assert np.all(mu + nu == mu[0] + nu[0])
-        assert np.max(np.abs(u @ u.conj().T - np.eye(len(mu)))) < 1e-12
+    for idx, u in _shells(*dims, fock._bs_blocks(*dims)):
+        assert np.max(np.abs(u @ u.conj().T - np.eye(len(idx)))) < 1e-12
 
 
 @pytest.mark.parametrize("eta", (0.0, 0.3, 0.6, 0.9, 1.0))
 def test_loss_generator_exponentiates_to_the_loss_matrix(eta):
     w, v = np.linalg.eigh(fock._mode_generator(fock.loss_matrix(eta)))
     assert np.max(np.abs((v * np.exp(-1j * w)) @ v.conj().T - np.array(fock.loss_matrix(eta)))) < 1e-14
-
-
-def _eig_mode_generator(mode_matrix):
-    """h = i V log(W) V^-1 from the eigendecomposition S = V W V^-1, Hermitian part."""
-    w, v = np.linalg.eig(np.asarray(mode_matrix, dtype=float))
-    h = 1j * ((v * np.log(w.astype(complex))) @ np.linalg.inv(v))
-    return 0.5 * (h + h.conj().T)
 
 
 _S = 1.0 / math.sqrt(2.0)
@@ -278,9 +286,9 @@ def test_bs_blocks_match_the_eigendecomposition_generator(monkeypatch, mode_matr
     blocks = [fock._bs_blocks.__wrapped__(di, dj, mode_matrix) for di, dj in _BUILT_BLOCKS[mode_matrix]]
     monkeypatch.setattr(fock, "_mode_generator", _eig_mode_generator)
     for (di, dj), new in zip(_BUILT_BLOCKS[mode_matrix], blocks):
-        for (mu, nu, u), (ref_mu, ref_nu, ref) in zip(new, fock._bs_blocks.__wrapped__(di, dj, mode_matrix),
-                                                      strict=True):
-            assert np.array_equal(mu, ref_mu) and np.array_equal(nu, ref_nu)
+        ref_blocks = fock._bs_blocks.__wrapped__(di, dj, mode_matrix)
+        for (idx, u), (ref_idx, ref) in zip(_shells(di, dj, new), _shells(di, dj, ref_blocks), strict=True):
+            assert np.array_equal(idx, ref_idx)
             assert np.max(np.abs(u - ref)) < 1e-13, (di, dj)
 
 
@@ -288,9 +296,8 @@ def test_bs_blocks_match_the_eigendecomposition_generator(monkeypatch, mode_matr
 def test_loss_blocks_are_unitary_and_map_the_labels(eta):
     dims = (41, 37)
     blocks = fock._bs_blocks(*dims, fock.loss_matrix(eta))
-    for mu, nu, u in blocks:
-        assert np.all(mu + nu == mu[0] + nu[0])
-        assert np.max(np.abs(u @ u.conj().T - np.eye(len(mu)))) < 1e-12
+    for idx, u in _shells(*dims, blocks):
+        assert np.max(np.abs(u @ u.conj().T - np.eye(len(idx)))) < 1e-12
     # |g>|0> -> |sqrt(eta) g>|sqrt(1 - eta) g> on the truncated pair
     g = 1.3 - 0.4j
     cuts = [d - 1 for d in dims]
@@ -362,6 +369,24 @@ def test_coherent_column_stacks_one_column_per_amplitude():
 def _mps(state, dims, order=None):
     order = list(range(state.mode_count)) if order is None else order
     return fock.branch_sites(state.labels[:, order], state.coeffs, [dims[k] for k in order])
+
+
+def test_branch_sites_and_lossy_split_pair_at_unequal_dims(rng):
+    # every site is the per-mode construction at its own cutoff, bit for bit
+    dims, k = [1, 7, 19, 4], 3
+    labels = rng.normal(size=(k, len(dims))) + 1j * rng.normal(size=(k, len(dims)))
+    coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    eye = np.eye(k)
+    ref = [fock.coherent_column(col, d)[:, :, None] * eye[:, None, :] for col, d in zip(labels.T, dims)]
+    ref[0] = np.tensordot(coeffs, ref[0], axes=1)[None]
+    ref[-1] = ref[-1].sum(axis=2, keepdims=True)
+    for site, want in zip(fock.branch_sites(labels, coeffs, dims), ref, strict=True):
+        assert np.array_equal(site, want)
+    # the lossy oracle's gate shape: bonds above one and di != dj
+    theta = rng.normal(size=(2, 15, 11, 3)) + 1j * rng.normal(size=(2, 15, 11, 3))
+    u4 = _dense_bs_reference(15, 11, fock.loss_matrix(0.6)).reshape(15, 11, 15, 11)
+    want = np.moveaxis(np.tensordot(u4, theta, axes=([2, 3], [1, 2])), (0, 1), (1, 2))
+    assert np.max(np.abs(fock.split_pair(theta, fock.loss_matrix(0.6)) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3, 4])

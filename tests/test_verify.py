@@ -22,12 +22,19 @@ def _wrong_mode_matrix(bs_blocks):
     return lambda di, dj, mode_matrix=fock.FIFTY_FIFTY: bs_blocks(di, dj, ((s, -s), (s, s)))
 
 
+def _reversed_levels(bs_blocks):
+    return lambda di, dj, mode_matrix=fock.FIFTY_FIFTY: tuple(
+        (levels[:, ::-1], u) for levels, u in bs_blocks(di, dj, mode_matrix)
+    )
+
+
 @pytest.mark.parametrize(
     "name, mutate",
     [
         ("_apply_blocks", _swapped_axes),
         ("coherent_column", _conjugated_columns),
         ("_bs_blocks", _wrong_mode_matrix),
+        ("_bs_blocks", _reversed_levels),
     ],
 )
 def test_oracle_equivalence_fails_on_a_broken_engine(monkeypatch, name, mutate):
